@@ -1,10 +1,9 @@
-// Concurrent-writer sweep: 1..16 writer threads, sync WAL, with and
-// without group commit, plus a shard-scaling sweep (num_shards 1/2/4/8 at
-// the widest thread count). The group-commit path batches concurrent
-// writers into one WAL append + fsync per shard, so aggregate throughput
-// should scale with threads instead of serializing behind the global
-// mutex (seed path); sharding multiplies the independent commit queues,
-// so sync-WAL throughput should scale again with shard count.
+// Concurrent-writer sweep: 1..16 writer threads, sync WAL, plus a
+// shard-scaling sweep (num_shards 1/2/4/8 at the widest thread count).
+// Group commit batches concurrent writers into one WAL append + fsync per
+// shard, so aggregate throughput should scale with threads; sharding
+// multiplies the independent commit queues, so sync-WAL throughput should
+// scale again with shard count.
 // Emits a JSON document on stdout (alongside the figure benches' tables);
 // progress goes to stderr. The scaling targets assume a multi-core host
 // whose fsyncs do not serialize (a parallel file system, or per-file
@@ -50,7 +49,6 @@ const bool kVerbose = std::getenv("LSMIO_BENCH_VERBOSE") != nullptr;
 
 struct RunResult {
   int threads = 0;
-  bool group_commit = false;
   int num_shards = 1;
   double puts_per_sec = 0;
   double mib_per_sec = 0;
@@ -58,12 +56,10 @@ struct RunResult {
   uint64_t write_stall_micros = 0;
 };
 
-RunResult RunOnce(int threads, bool group_commit, int num_shards,
-                  const std::string& dir) {
+RunResult RunOnce(int threads, int num_shards, const std::string& dir) {
   lsm::Options options;
   options.sync_writes = true;  // every write group pays one fsync
   options.disable_compaction = true;
-  options.enable_group_commit = group_commit;
   // num_shards == 1 keeps the exact pre-sharding configuration; sharded
   // runs get one pool thread per shard so concurrent flushes never queue.
   options.background_threads = num_shards == 1 ? 2 : std::max(2, num_shards);
@@ -107,7 +103,6 @@ RunResult RunOnce(int threads, bool group_commit, int num_shards,
 
   RunResult r;
   r.threads = threads;
-  r.group_commit = group_commit;
   r.num_shards = num_shards;
   const double total_ops = static_cast<double>(ops_per_thread) * threads;
   r.puts_per_sec = total_ops / seconds;
@@ -138,11 +133,9 @@ RunResult RunOnce(int threads, bool group_commit, int num_shards,
   return r;
 }
 
-double At(const std::vector<RunResult>& results, int threads, bool group_commit,
-          int num_shards) {
+double At(const std::vector<RunResult>& results, int threads, int num_shards) {
   for (const RunResult& r : results) {
-    if (r.threads == threads && r.group_commit == group_commit &&
-        r.num_shards == num_shards) {
+    if (r.threads == threads && r.num_shards == num_shards) {
       return r.puts_per_sec;
     }
   }
@@ -158,16 +151,13 @@ int main() {
                               : "/tmp/lsmio_bench_concurrent_writers";
   std::vector<RunResult> results;
 
-  for (const bool group_commit : {false, true}) {
-    for (const int threads : {1, 2, 4, 8, 16}) {
-      if (threads > kMaxThreads) continue;
-      std::fprintf(stderr, "%-14s %2d thread(s)... ",
-                   group_commit ? "group-commit" : "serialized", threads);
-      std::fflush(stderr);
-      results.push_back(RunOnce(threads, group_commit, /*num_shards=*/1, dir));
-      std::fprintf(stderr, "%8.0f puts/s (%6.1f MiB/s)\n",
-                   results.back().puts_per_sec, results.back().mib_per_sec);
-    }
+  for (const int threads : {1, 2, 4, 8, 16}) {
+    if (threads > kMaxThreads) continue;
+    std::fprintf(stderr, "%2d thread(s)... ", threads);
+    std::fflush(stderr);
+    results.push_back(RunOnce(threads, /*num_shards=*/1, dir));
+    std::fprintf(stderr, "%8.0f puts/s (%6.1f MiB/s)\n",
+                 results.back().puts_per_sec, results.back().mib_per_sec);
   }
 
   // Shard scaling at the widest writer count the sweep ran (>= 8 preferred:
@@ -179,8 +169,7 @@ int main() {
     std::fprintf(stderr, "%d shard(s)      %2d thread(s)... ", num_shards,
                  shard_threads);
     std::fflush(stderr);
-    results.push_back(RunOnce(shard_threads, /*group_commit=*/true, num_shards,
-                              dir));
+    results.push_back(RunOnce(shard_threads, num_shards, dir));
     std::fprintf(stderr, "%8.0f puts/s (%6.1f MiB/s)\n",
                  results.back().puts_per_sec, results.back().mib_per_sec);
   }
@@ -192,38 +181,27 @@ int main() {
   std::printf("  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
-    std::printf("    {\"threads\": %d, \"group_commit\": %s, "
-                "\"num_shards\": %d, "
+    std::printf("    {\"threads\": %d, \"num_shards\": %d, "
                 "\"puts_per_sec\": %.1f, \"mib_per_sec\": %.2f, "
                 "\"group_commit_batches\": %llu, \"write_stall_micros\": %llu}%s\n",
-                r.threads, r.group_commit ? "true" : "false", r.num_shards,
+                r.threads, r.num_shards,
                 r.puts_per_sec, r.mib_per_sec,
                 static_cast<unsigned long long>(r.group_commit_batches),
                 static_cast<unsigned long long>(r.write_stall_micros),
                 i + 1 < results.size() ? "," : "");
   }
-  // Compare at the widest concurrency actually run (CI caps the sweep).
-  const int peak = std::min(4, kMaxThreads);
-  const double speedup = At(results, peak, true, 1) / At(results, peak, false, 1);
-  const double single_ratio = At(results, 1, true, 1) / At(results, 1, false, 1);
-  const double shard_base = At(results, shard_threads, true, 1);
+  const double shard_base = At(results, shard_threads, 1);
   const double shard_speedup_4 =
-      shard_base > 0 ? At(results, shard_threads, true, 4) / shard_base : 0;
+      shard_base > 0 ? At(results, shard_threads, 4) / shard_base : 0;
   const double shard_speedup_8 =
-      shard_base > 0 ? At(results, shard_threads, true, 8) / shard_base : 0;
-  std::printf("  ],\n  \"speedup_threads\": %d,\n  \"speedup\": %.2f,\n", peak,
-              speedup);
-  std::printf("  \"single_writer_ratio\": %.2f,\n", single_ratio);
+      shard_base > 0 ? At(results, shard_threads, 8) / shard_base : 0;
+  std::printf("  ],\n");
   std::printf("  \"shard_scaling\": {\"threads\": %d, "
               "\"speedup_4_shards\": %.2f, \"speedup_8_shards\": %.2f}\n}\n",
               shard_threads, shard_speedup_4, shard_speedup_8);
 
   std::fprintf(stderr,
-               "\ngroup commit at %d threads: %.2fx the serialized path "
-               "(target >= 2x at 4); single-writer ratio %.2f (target > 0.95)\n",
-               peak, speedup, single_ratio);
-  std::fprintf(stderr,
-               "shard scaling at %d threads: 4 shards %.2fx, 8 shards %.2fx "
+               "\nshard scaling at %d threads: 4 shards %.2fx, 8 shards %.2fx "
                "the single-shard path (target >= 1.5x at 4 shards)\n",
                shard_threads, shard_speedup_4, shard_speedup_8);
   return 0;

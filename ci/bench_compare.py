@@ -50,8 +50,7 @@ def extract_metrics(filename, doc):
             metrics[f"micro_lsm/{b['name']}/real_time"] = (b["real_time"], "lower")
     elif filename == "concurrent_writers_smoke.json":
         for r in doc.get("results", []):
-            name = (f"concurrent_writers/t{r['threads']}"
-                    f"_gc{int(r['group_commit'])}_s{r['num_shards']}")
+            name = f"concurrent_writers/t{r['threads']}_s{r['num_shards']}"
             metrics[f"{name}/puts_per_sec"] = (r["puts_per_sec"], "higher")
     elif filename == "value_log_smoke.json":
         for r in doc.get("results", []):

@@ -43,13 +43,6 @@ struct LsmioOptions {
   /// SSTable block size.
   uint64_t block_size = 4 * KiB;
 
-  // --- read path ---
-  /// Keep each open table's index and filter blocks pinned for the table's
-  /// lifetime instead of round-tripping through the block cache per probe.
-  bool pin_index_and_filter = true;
-  /// Readahead window for compaction input scans (0 disables).
-  uint64_t compaction_readahead_bytes = 1 * MiB;
-
   // --- write pipeline ---
   /// Background threads shared by flush and compaction. The two are
   /// scheduled independently, so with >= 2 threads a long compaction never
@@ -60,8 +53,6 @@ struct LsmioOptions {
   /// > 2 let checkpoint bursts roll to a fresh buffer instead of stalling
   /// behind an in-flight flush. Minimum effective value is 2.
   int max_write_buffer_number = 2;
-  /// Group commit: concurrent writers batch into one WAL append/fsync.
-  bool enable_group_commit = true;
   /// Soft L0 trigger for graduated write backpressure: from this many L0
   /// files the engine paces writes with per-batch delays instead of
   /// running into the hard stop-trigger stall. 0 disables pacing. Ignored

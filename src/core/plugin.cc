@@ -55,7 +55,6 @@ LsmioOptions PluginOptions(a2::IO& io) {
       ParameterInt(io, "BackgroundThreads", options.background_threads);
   options.max_write_buffer_number =
       ParameterInt(io, "MaxWriteBufferNumber", options.max_write_buffer_number);
-  options.enable_group_commit = io.Parameter("GroupCommit") != "false";
   options.num_shards = ParameterInt(io, "NumShards", options.num_shards);
   return options;
 }

@@ -26,11 +26,8 @@ lsm::Options ToEngineOptions(const LsmioOptions& options) {
   // for any value.
   engine.background_threads = options.background_threads;
   engine.max_write_buffer_number = options.max_write_buffer_number;
-  engine.enable_group_commit = options.enable_group_commit;
   engine.l0_slowdown_writes_trigger = options.l0_slowdown_writes_trigger;
   engine.bytes_per_sec = options.bytes_per_sec;
-  engine.pin_index_and_filter = options.pin_index_and_filter;
-  engine.compaction_readahead_bytes = options.compaction_readahead_bytes;
   engine.num_shards = options.num_shards;
   return engine;
 }

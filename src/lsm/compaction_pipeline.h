@@ -3,12 +3,11 @@
 // merged input) with the compute/write half (drop logic, block encode,
 // output writes), Pome-style.
 //
-// The consumer pulls entries through the KvSource interface. With the
-// pipeline enabled, a producer thread drains the merged input iterator
-// into packed entry batches while the consumer processes the previous
-// batch; the queue is bounded (double buffering), so a slow consumer
-// backpressures the producer instead of buffering the whole compaction,
-// and memory stays at ~2 batches.
+// A producer thread drains the merged input iterator into packed entry
+// batches while the consumer processes the previous batch; the queue is
+// bounded (double buffering), so a slow consumer backpressures the
+// producer instead of buffering the whole compaction, and memory stays at
+// ~2 batches.
 #pragma once
 
 #include <cstdint>
@@ -22,59 +21,27 @@
 
 namespace lsmio::lsm {
 
-/// Pull interface the compaction consumer loop iterates. The slices
-/// returned by Next stay valid until the next Next call. status() is
-/// meaningful once Next has returned false.
-class KvSource {
- public:
-  virtual ~KvSource() = default;
-  virtual bool Next(Slice* key, Slice* value) = 0;
-  [[nodiscard]] virtual Status status() const = 0;
-  /// Entry batches handed across the pipeline (0 for the direct source).
-  [[nodiscard]] virtual uint64_t batches() const { return 0; }
-};
-
-/// Direct pass-through used when the pipeline is disabled: Next is exactly
-/// one iterator step on the calling thread.
-class IteratorKvSource final : public KvSource {
- public:
-  /// Does not take ownership of `iter`.
-  explicit IteratorKvSource(Iterator* iter) : iter_(iter) {}
-
-  bool Next(Slice* key, Slice* value) override {
-    if (!started_) {
-      iter_->SeekToFirst();
-      started_ = true;
-    } else {
-      iter_->Next();
-    }
-    if (!iter_->Valid()) return false;
-    *key = iter_->key();
-    *value = iter_->value();
-    return true;
-  }
-
-  [[nodiscard]] Status status() const override { return iter_->status(); }
-
- private:
-  Iterator* iter_;
-  bool started_ = false;
-};
-
 /// Double-buffered producer/consumer source: a background thread runs the
 /// input iterator and packs entries into length-prefixed batches of
 /// ~batch_bytes; the consumer decodes them sequentially.
-class PipelinedKvSource final : public KvSource {
+class PipelinedKvSource {
  public:
   /// Does not take ownership of `iter`, which must stay valid for this
   /// object's lifetime and is driven exclusively by the producer thread.
   explicit PipelinedKvSource(Iterator* iter, size_t batch_bytes = 1U << 20,
                              size_t max_queued_batches = 2);
-  ~PipelinedKvSource() override;
+  ~PipelinedKvSource();
 
-  bool Next(Slice* key, Slice* value) override;
-  [[nodiscard]] Status status() const override;
-  [[nodiscard]] uint64_t batches() const override;
+  PipelinedKvSource(const PipelinedKvSource&) = delete;
+  PipelinedKvSource& operator=(const PipelinedKvSource&) = delete;
+
+  /// The next merged entry; the slices stay valid until the next call.
+  /// False at the end of the input or on an input error (see status()).
+  bool Next(Slice* key, Slice* value);
+  /// The input iterator's status, meaningful once Next has returned false.
+  [[nodiscard]] Status status() const;
+  /// Entry batches handed from the producer to the consumer so far.
+  [[nodiscard]] uint64_t batches() const;
 
  private:
   void ProducerLoop(Iterator* iter) EXCLUDES(mu_);

@@ -2,23 +2,30 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <map>
-#include <thread>
 
 #include "common/logging.h"
 #include "lsm/builder.h"
 #include "lsm/cache.h"
 #include "lsm/comparator.h"
+#include "lsm/compaction_pipeline.h"
 #include "lsm/db_iter.h"
 #include "lsm/filter_policy.h"
 #include "lsm/log_reader.h"
 #include "lsm/merger.h"
 #include "lsm/sharded_db.h"
-#include "lsm/table_builder.h"
 #include "vfs/posix_vfs.h"
 
 namespace lsmio::lsm {
+
+namespace {
+
+// Bloom filter bits per key in every table (about 1% false positives).
+constexpr int kBloomBitsPerKey = 10;
+// Capacity of the block cache a DB owns when Options::block_cache is null.
+constexpr uint64_t kBlockCacheCapacity = 8 * MiB;
+
+}  // namespace
 
 struct DBImpl::SnapshotImpl final : Snapshot {
   explicit SnapshotImpl(SequenceNumber s) : sequence(s) {}
@@ -32,15 +39,13 @@ DBImpl::DBImpl(const Options& options, const std::string& dbname,
       dbname_(dbname),
       internal_comparator_(options.comparator != nullptr ? options.comparator
                                                          : BytewiseComparator()),
-      filter_policy_(options.bloom_bits_per_key > 0
-                         ? NewBloomFilterPolicy(options.bloom_bits_per_key)
-                         : nullptr),
+      filter_policy_(NewBloomFilterPolicy(kBloomBitsPerKey)),
       write_controller_(options) {
   if (!options_.disable_cache) {
     if (options_.block_cache != nullptr) {
       block_cache_ = options_.block_cache;  // shared, arbiter-owned
     } else {
-      owned_block_cache_ = NewLRUCache(options_.block_cache_capacity);
+      owned_block_cache_ = NewLRUCache(kBlockCacheCapacity);
       block_cache_ = owned_block_cache_.get();
     }
   }
@@ -168,9 +173,6 @@ Status DBImpl::Initialize() {
     SequenceNumber max_sequence = versions_->LastSequence();
     for (const uint64_t log_number : logs) {
       LSMIO_RETURN_IF_ERROR(RecoverLogFile(log_number, &max_sequence));
-      if (log_number >= versions_->ManifestFileNumber()) {
-        // Extremely old builds could collide; keep file numbers monotonic.
-      }
     }
     versions_->SetLastSequence(max_sequence);
     if (save_manifest && !options_.read_only) {
@@ -329,67 +331,66 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence)
   log::Reader reader(file.get(), &reporter, /*checksum=*/true);
   Slice record;
   std::string scratch;
-  // Read-only opens accumulate every log's records into one memtable that
-  // becomes the active (never-flushed) one.
+  // Replay flushes the memtable to a level-0 table whenever it outgrows the
+  // write buffer, and once more at the end of the log. Read-only opens never
+  // flush: every log's records accumulate into one memtable that becomes
+  // the active one.
   MemTable* mem = options_.read_only ? mem_ : nullptr;
   mem_ = nullptr;
-
-  while (reader.ReadRecord(&record, &scratch)) {
-    WriteBatch batch;
-    LSMIO_RETURN_IF_ERROR(WriteBatch::SetContents(&batch, record));
-    if (mem == nullptr) {
-      mem = new MemTable(internal_comparator_);
-      mem->Ref();
-    }
-    if (vlog_ != nullptr) {
-      ValidatingMemTableInserter inserter(batch.Sequence(), mem, vlog_.get());
-      LSMIO_RETURN_IF_ERROR(batch.Iterate(&inserter));
-      if (inserter.dropped() > 0) {
-        LSMIO_WARN << "dropped " << inserter.dropped()
-                   << " dangling value-log pointer(s) during WAL replay";
+  for (bool more = true; more;) {
+    more = reader.ReadRecord(&record, &scratch);
+    if (more) {
+      WriteBatch batch;
+      LSMIO_RETURN_IF_ERROR(WriteBatch::SetContents(&batch, record));
+      if (mem == nullptr) {
+        mem = new MemTable(internal_comparator_);
+        mem->Ref();
       }
-    } else {
-      LSMIO_RETURN_IF_ERROR(batch.InsertInto(mem));
+      if (vlog_ != nullptr) {
+        ValidatingMemTableInserter inserter(batch.Sequence(), mem, vlog_.get());
+        LSMIO_RETURN_IF_ERROR(batch.Iterate(&inserter));
+        if (inserter.dropped() > 0) {
+          LSMIO_WARN << "dropped " << inserter.dropped()
+                     << " dangling value-log pointer(s) during WAL replay";
+        }
+      } else {
+        LSMIO_RETURN_IF_ERROR(batch.InsertInto(mem));
+      }
+      const SequenceNumber last =
+          batch.Sequence() + static_cast<SequenceNumber>(batch.Count()) - 1;
+      if (last > *max_sequence) *max_sequence = last;
     }
-    const SequenceNumber last =
-        batch.Sequence() + static_cast<SequenceNumber>(batch.Count()) - 1;
-    if (last > *max_sequence) *max_sequence = last;
+    if (options_.read_only || mem == nullptr) continue;
+    if (more ? mem->ApproximateMemoryUsage() <= options_.write_buffer_size
+             : mem->num_entries() == 0) {
+      continue;
+    }
 
-    if (!options_.read_only &&
-        mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
-      FileMetaData meta;
-      meta.number = versions_->NewFileNumber();
-      std::unique_ptr<Iterator> iter(mem->NewIterator());
-      s = BuildTable(dbname_, fs(), options_, &internal_comparator_,
-                     filter_policy_.get(), iter.get(), &meta);
-      mem->Unref();
-      mem = nullptr;
-      LSMIO_RETURN_IF_ERROR(s);
-      auto v = versions_->MakeVersion({{0, meta}}, {});
-      LSMIO_RETURN_IF_ERROR(versions_->LogAndApply(std::move(v)));
-    }
+    // Recovery runs under mu_ and rebuilds at full speed (no rate limiter).
+    TableOutputWriter out(dbname_, fs(), options_, &internal_comparator_, filter_policy_.get(),
+                          [this] {
+                            mu_.AssertHeld();
+                            return NewOutputNumber();
+                          },
+                          /*rate_limiter=*/nullptr, RateLimiter::Priority::kHigh,
+                          /*roll=*/false);
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    s = out.AddAll(iter.get());
+    iter.reset();
+    mem->Unref();
+    mem = nullptr;
+    LSMIO_RETURN_IF_ERROR(s);
+    const FileMetaData& meta = out.outputs().front();
+    pending_outputs_.erase(meta.number);
+    out.Keep();
+    LSMIO_RETURN_IF_ERROR(
+        versions_->LogAndApply(versions_->MakeVersion({{0, meta}}, {})));
   }
 
   if (options_.read_only) {
-    // Keep recovered WAL contents readable without writing a table: the
-    // recovered memtable becomes the active one.
     mem_ = mem;
-    return Status::OK();
-  }
-  if (mem != nullptr) {
-    if (mem->num_entries() > 0) {
-      FileMetaData meta;
-      meta.number = versions_->NewFileNumber();
-      std::unique_ptr<Iterator> iter(mem->NewIterator());
-      s = BuildTable(dbname_, fs(), options_, &internal_comparator_,
-                     filter_policy_.get(), iter.get(), &meta);
-      if (s.ok()) {
-        auto v = versions_->MakeVersion({{0, meta}}, {});
-        s = versions_->LogAndApply(std::move(v));
-      }
-    }
-    mem->Unref();
-    LSMIO_RETURN_IF_ERROR(s);
+  } else if (mem != nullptr) {
+    mem->Unref();  // replayed no entries
   }
   return Status::OK();
 }
@@ -412,7 +413,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   if (options_.read_only) {
     return Status::InvalidArgument("database opened read-only");
   }
-  if (!options_.enable_group_commit) return WriteSerialized(options, updates);
   const uint64_t op_start_micros = clock_->NowMicros();
 
   Writer w(updates, options.sync || options_.sync_writes, &mu_);
@@ -511,81 +511,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   if (!writers_.empty()) writers_.front()->cv.Signal();
   write_latency_rec_.Record(clock_->NowMicros() - op_start_micros);
   return status;
-}
-
-Status DBImpl::WriteSerialized(const WriteOptions& options, WriteBatch* updates) {
-  // Seed write path (one global mutex across WAL + sync + memtable insert);
-  // kept behind Options::enable_group_commit=false for ablation.
-  const uint64_t op_start_micros = clock_->NowMicros();
-  const auto record_latency = [&] {
-    write_latency_rec_.Record(clock_->NowMicros() - op_start_micros);
-  };
-  MutexLock lock(&mu_);
-  {
-    const Status room = MakeRoomForWrite(updates->ApproximateSize());
-    if (!room.ok()) {
-      record_latency();
-      return room;
-    }
-  }
-
-  const SequenceNumber sequence = versions_->LastSequence() + 1;
-  updates->SetSequence(sequence);
-  versions_->SetLastSequence(sequence +
-                             static_cast<SequenceNumber>(updates->Count()) - 1);
-  const size_t user_bytes = updates->Contents().size();
-
-  WriteBatch* log_batch = updates;
-  if (vlog_ != nullptr) {
-    Status s;
-    log_batch = SeparateLargeValues(updates, &s);
-    if (!s.ok()) {
-      RecordBackgroundError(s);
-      if (log_batch == &tmp_vlog_batch_) tmp_vlog_batch_.Clear();
-      record_latency();
-      return s;
-    }
-    if (log_batch != updates) ++stats_.value_log_separated_batches;
-  }
-
-  if (!options_.disable_wal) {
-    Status s = log_->AddRecord(log_batch->Contents());
-    if (s.ok()) {
-      stats_.wal_bytes += log_batch->Contents().size();
-      if (options.sync || options_.sync_writes) {
-        if (vlog_ != nullptr) s = vlog_->Sync();
-        if (s.ok()) s = logfile_->Sync();
-      }
-    }
-    if (!s.ok()) {
-      // Same contract as the group-commit path: a failed WAL append/fsync
-      // leaves the log in an unknown state, so the engine goes read-only.
-      RecordBackgroundError(s);
-      if (log_batch == &tmp_vlog_batch_) tmp_vlog_batch_.Clear();
-      record_latency();
-      return s;
-    }
-  }
-
-  const Status insert_status = log_batch->InsertInto(mem_);
-  if (log_batch == &tmp_vlog_batch_) tmp_vlog_batch_.Clear();
-  if (!insert_status.ok()) {
-    record_latency();
-    return insert_status;
-  }
-  stats_.bytes_written += user_bytes;
-  struct Counter final : WriteBatch::Handler {
-    uint64_t puts = 0, dels = 0;
-    void Put(const Slice&, const Slice&) override { ++puts; }
-    void Delete(const Slice&) override { ++dels; }
-  } counter;
-  // Counting handler over an already-applied batch: cannot fail.
-  updates->Iterate(&counter).IgnoreError();
-  stats_.puts += counter.puts;
-  stats_.deletes += counter.dels;
-  ReportPoolUsage(/*wrote=*/true);
-  record_latency();
-  return Status::OK();
 }
 
 void DBImpl::RecordBackgroundError(const Status& s) {
@@ -724,37 +649,16 @@ void DBImpl::ArbiterFlushCall() {
   bg_cv_.SignalAll();
 }
 
-void DBImpl::StallWait(int cause) {
-  StallWindow& window = stall_windows_[cause];
-  if (window.waiters == 0) window.start_micros = clock_->NowMicros();
-  ++window.waiters;
+void DBImpl::StallWait(StallCause cause) {
+  const uint64_t start = clock_->NowMicros();
   stall_cv_.Wait();
-  --window.waiters;
-  if (window.waiters == 0) {
-    const uint64_t now = clock_->NowMicros();
-    const uint64_t elapsed =
-        now > window.start_micros ? now - window.start_micros : 0;
-    stats_.write_stall_micros += elapsed;
-    if (cause == kStallMemTable) {
-      stats_.stall_memtable_micros += elapsed;
-    } else {
-      stats_.stall_l0_micros += elapsed;
-    }
-  }
-}
-
-void DBImpl::SignalStalledWriters(bool l0_changed) {
-  if (l0_changed || !bg_error_.ok() ||
-      stall_windows_[kStallL0].waiters > 0) {
-    // L0 state changed (or an error latched, or both causes are parked on
-    // the one CV): everyone must recheck.
-    stall_cv_.SignalAll();
-  } else if (stall_windows_[kStallMemTable].waiters > 0) {
-    // One flush slot freed admits one memtable switch: wake one waiter,
-    // not the herd — the rest would just measure the queue full again and
-    // go back to sleep, multiplying wakeups (and, before the per-cause
-    // windows above, stall time) by the writer count.
-    stall_cv_.Signal();
+  const uint64_t now = clock_->NowMicros();
+  const uint64_t elapsed = now > start ? now - start : 0;
+  stats_.write_stall_micros += elapsed;
+  if (cause == kStallMemTable) {
+    stats_.stall_memtable_micros += elapsed;
+  } else {
+    stats_.stall_l0_micros += elapsed;
   }
 }
 
@@ -1118,29 +1022,38 @@ void DBImpl::BackgroundCompactionCall() {
   bg_cv_.SignalAll();
 }
 
+uint64_t DBImpl::NewOutputNumber() {
+  const uint64_t number = versions_->NewFileNumber();
+  pending_outputs_.insert(number);
+  return number;
+}
+
 Status DBImpl::CompactMemTable(MemTable* imm) {
   // Called without mu_. `imm` stays at the front of imm_queue_ (readable by
   // Get/iterators) until the flush is installed; only this thread pops it.
   assert(imm != nullptr);
 
-  FileMetaData meta;
-  {
-    MutexLock lock(&mu_);
-    meta.number = versions_->NewFileNumber();
-    pending_outputs_.insert(meta.number);
-  }
-
+  // Flushes gate writer admission, so their table writes are charged at
+  // high priority and preempt compaction I/O.
+  TableOutputWriter out(dbname_, fs(), options_, &internal_comparator_, filter_policy_.get(),
+                        [this] {
+                          MutexLock lock(&mu_);
+                          return NewOutputNumber();
+                        },
+                        rate_limiter_, RateLimiter::Priority::kHigh, /*roll=*/false);
   std::unique_ptr<Iterator> iter(imm->NewIterator());
-  Status s = BuildTable(dbname_, fs(), options_, &internal_comparator_,
-                        filter_policy_.get(), iter.get(), &meta, rate_limiter_);
+  Status s = out.AddAll(iter.get());
   // The table's pointer entries may reference blob bytes no sync barrier
   // has covered yet (non-sync writes); once this flush advances the
   // recovery log number, the WAL stops protecting those records.
-  if (s.ok() && vlog_ != nullptr && !meta.blob_refs.empty()) s = vlog_->Sync();
+  if (s.ok() && vlog_ != nullptr && !out.outputs().empty() &&
+      !out.outputs().front().blob_refs.empty()) {
+    s = vlog_->Sync();
+  }
 
   MutexLock lock(&mu_);
-  pending_outputs_.erase(meta.number);
-  if (s.ok() && meta.file_size > 0) {
+  if (s.ok() && !out.outputs().empty()) {
+    const FileMetaData& meta = out.outputs().front();
     assert(!imm_queue_.empty() && imm_queue_.front() == imm);
     // Advance the recovery log number in the same manifest record that
     // installs the SST. Without this, reopen replays the already-flushed
@@ -1148,8 +1061,9 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
     // tail was lost in a crash, that stale replay shadows newer synced
     // data because L0 reads go newest-file-number-first.
     versions_->SetLogNumber(imm_log_queue_.front());
-    auto v = versions_->MakeVersion({{0, meta}}, {});
-    s = versions_->LogAndApply(std::move(v));
+    pending_outputs_.erase(meta.number);
+    out.Keep();
+    s = versions_->LogAndApply(versions_->MakeVersion({{0, meta}}, {}));
     stats_.memtable_flushes += 1;
     stats_.bytes_flushed += meta.file_size;
   }
@@ -1163,9 +1077,9 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
     // recomputing pressure so pacing sees the release immediately.
     ReportPoolUsage(/*wrote=*/false);
     // A flush slot freed (and L0 grew): recompute pacing pressure and
-    // admit stalled writers.
+    // wake the stalled writer.
     RefreshWritePressure();
-    SignalStalledWriters(/*l0_changed=*/false);
+    stall_cv_.SignalAll();
   }
   return s;
 }
@@ -1322,76 +1236,28 @@ Status DBImpl::CompactFiles(int level,
   }();
 
   // Pipeline stage 1 (producer): block reads + decode + heap merge, i.e.
-  // everything behind Next on the merged iterator. With the pipeline on,
-  // a background thread runs it and feeds double-buffered entry batches;
-  // otherwise Next degenerates to an inline iterator step. `source` must
-  // be destroyed before `merged` (it drives the iterator from its thread).
-  std::unique_ptr<KvSource> source;
-  if (options_.pipeline_compaction_io) {
-    source = std::make_unique<PipelinedKvSource>(merged.get());
-  } else {
-    source = std::make_unique<IteratorKvSource>(merged.get());
-  }
+  // everything behind Next on the merged iterator, run by a background
+  // thread that feeds double-buffered entry batches. `source` must be
+  // destroyed before `merged` (it drives the iterator from its thread).
+  auto source = std::make_unique<PipelinedKvSource>(merged.get());
 
-  std::vector<FileMetaData> outputs;
-  std::vector<uint64_t> allocated_numbers;  // every number taken, for cleanup
-  std::unique_ptr<vfs::WritableFile> out_file;
-  std::unique_ptr<TableBuilder> builder;
-  FileMetaData current_output;
-  std::set<uint64_t> current_refs;  // blob segments the current output pins
+  // Pipeline stage 3 (output): outputs roll at target_file_size, and the
+  // Finish+Sync+Close of a full one runs on a helper thread while the next
+  // builds, so the output fsync overlaps both input I/O and merge compute.
+  // Compaction writes are charged at low priority: under a shared byte
+  // budget, a concurrent flush's writes preempt them.
+  TableOutputWriter out(dbname_, fs(), options_, &internal_comparator_, filter_policy_.get(),
+                        [this] {
+                          MutexLock lock(&mu_);
+                          return NewOutputNumber();
+                        },
+                        rate_limiter_, RateLimiter::Priority::kLow, /*roll=*/true);
   // Per-segment record bytes this compaction turned into garbage (entries
   // dropped or relocated); applied to the value log's live accounting in
   // the same install as the manifest record.
   std::map<uint64_t, uint64_t> garbage;
   bool relocated_any = false;
   Status s;
-
-  // Pipeline stage 3 (async finish): Finish+Sync+Close of a completed
-  // output runs on a helper thread while the next output builds, so the
-  // output fsync overlaps both input I/O and merge compute. At most one
-  // finish is in flight; its result is read only after the join.
-  std::thread finisher;
-  bool finish_pending = false;
-  Status finish_status;
-  FileMetaData finished_meta;
-
-  auto wait_finisher = [&]() -> Status {
-    if (!finish_pending) return Status::OK();
-    finisher.join();
-    finish_pending = false;
-    if (finish_status.ok() && finished_meta.file_size > 0) {
-      outputs.push_back(finished_meta);
-      MutexLock lock(&mu_);
-      stats_.bytes_compacted += finished_meta.file_size;
-      stats_.compaction_bytes_written += finished_meta.file_size;
-    }
-    return finish_status;
-  };
-
-  auto finish_output = [&]() -> Status {
-    if (builder == nullptr) return Status::OK();
-    LSMIO_RETURN_IF_ERROR(wait_finisher());
-    current_output.blob_refs.assign(current_refs.begin(), current_refs.end());
-    current_refs.clear();
-    finish_pending = true;
-    finisher = std::thread([&finish_status, &finished_meta,
-                            fin_builder = std::move(builder),
-                            fin_file = std::move(out_file),
-                            meta = current_output]() mutable {
-      Status fs_status = fin_builder->Finish();
-      if (fs_status.ok()) {
-        meta.file_size = fin_builder->FileSize();
-        // Always fsync (as in BuildTable): LogAndApply installs this file
-        // and the inputs it replaces get deleted, so an unsynced output
-        // would be the only copy of its keys after a power failure.
-        fs_status = fin_file->Sync();
-      }
-      if (fs_status.ok()) fs_status = fin_file->Close();
-      finish_status = fs_status;
-      finished_meta = meta;
-    });
-    return Status::OK();
-  };
 
   // Pipeline stage 2 (consumer, this thread): drop logic + encode + write.
   const Comparator* ucmp = internal_comparator_.user_comparator();
@@ -1450,7 +1316,6 @@ Status DBImpl::CompactFiles(int level,
           relocated_value.clear();
           EncodeValuePointer(&relocated_value, new_ptr);
           value = Slice(relocated_value);
-          ptr = new_ptr;
           relocated_any = true;
         }
       }
@@ -1461,47 +1326,10 @@ Status DBImpl::CompactFiles(int level,
                    << ptr.segment << "): " << rs.ToString();
       }
     }
-    if (have_ptr) current_refs.insert(ptr.segment);
-
-    if (builder == nullptr) {
-      {
-        MutexLock lock(&mu_);
-        current_output = FileMetaData{};
-        current_output.number = versions_->NewFileNumber();
-        pending_outputs_.insert(current_output.number);
-        allocated_numbers.push_back(current_output.number);
-      }
-      s = fs().NewWritableFile(TableFileName(dbname_, current_output.number), {},
-                               &out_file);
-      if (!s.ok()) break;
-      // Charge compaction output writes at low priority: under a shared
-      // byte budget, a concurrent flush's writes preempt these.
-      out_file = MaybeRateLimit(std::move(out_file), rate_limiter_,
-                                RateLimiter::Priority::kLow);
-      builder = std::make_unique<TableBuilder>(options_, &internal_comparator_,
-                                               filter_policy_.get(), out_file.get());
-      current_output.smallest = key.ToString();
-    }
-    current_output.largest = key.ToString();
-    builder->Add(key, value);
-
-    if (builder->FileSize() >= options_.target_file_size) {
-      s = finish_output();
-    }
+    s = out.Add(key, value);
   }
   if (s.ok()) s = source->status();
-  if (s.ok()) s = finish_output();
-  {
-    // Drain the in-flight finish unconditionally (the thread must join);
-    // on the error path its status is secondary to the first failure.
-    const Status drained = wait_finisher();
-    if (s.ok()) s = drained;
-  }
-  if (builder != nullptr) {
-    builder->Abandon();
-    builder.reset();
-    out_file.reset();
-  }
+  if (s.ok()) s = out.Finish();
   const uint64_t pipeline_batches = source->batches();
   source.reset();  // joins the producer thread before `merged` dies
 
@@ -1515,9 +1343,6 @@ Status DBImpl::CompactFiles(int level,
 
   MutexLock lock(&mu_);
   stats_.compaction_pipeline_batches += pipeline_batches;
-  // Failed/empty outputs fall out of pending_outputs_ too, so the next
-  // RemoveObsoleteFiles sweep can delete the partial files.
-  for (const uint64_t number : allocated_numbers) pending_outputs_.erase(number);
   if (!s.ok()) return s;
 
   // Install: delete inputs, add outputs at output_level. The value log's
@@ -1528,9 +1353,14 @@ Status DBImpl::CompactFiles(int level,
   std::vector<std::pair<int, uint64_t>> deletions;
   for (const auto& f : level_inputs) deletions.emplace_back(level, f.number);
   for (const auto& f : next_inputs) deletions.emplace_back(output_level, f.number);
-  for (const auto& f : outputs) additions.emplace_back(output_level, f);
-  auto v = versions_->MakeVersion(additions, deletions);
-  s = versions_->LogAndApply(std::move(v));
+  for (const auto& f : out.outputs()) {
+    additions.emplace_back(output_level, f);
+    pending_outputs_.erase(f.number);
+    stats_.bytes_compacted += f.file_size;
+    stats_.compaction_bytes_written += f.file_size;
+  }
+  out.Keep();
+  s = versions_->LogAndApply(versions_->MakeVersion(additions, deletions));
   if (s.ok()) {
     stats_.compactions += 1;
     stats_.compaction_bytes_read += input_bytes;
@@ -1544,9 +1374,9 @@ Status DBImpl::CompactFiles(int level,
     }
     RemoveObsoleteFiles();
     // L0 (or a deeper level) shrank: drop pacing pressure accordingly and
-    // release writers hard-stalled on the L0 stop trigger.
+    // wake a writer hard-stalled on the L0 stop trigger.
     RefreshWritePressure();
-    SignalStalledWriters(/*l0_changed=*/true);
+    stall_cv_.SignalAll();
   }
   return s;
 }

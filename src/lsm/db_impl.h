@@ -21,7 +21,6 @@
 #include "common/synchronization.h"
 #include "common/thread_pool.h"
 #include "lsm/compaction_limiter.h"
-#include "lsm/compaction_pipeline.h"
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
 #include "lsm/log_writer.h"
@@ -90,8 +89,6 @@ class DBImpl final : public DB {
   Status NewDb() REQUIRES(mu_);              // write fresh CURRENT/manifest
   Status RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence)
       REQUIRES(mu_);
-  Status WriteSerialized(const WriteOptions& options, WriteBatch* updates)
-      EXCLUDES(mu_);
   WriteBatch* BuildBatchGroup(Writer** last_writer) REQUIRES(mu_);
   /// WAL-time key/value separation (leader-side, mu_ released or held —
   /// touches only leader-owned scratch and the internally-locked value
@@ -105,26 +102,24 @@ class DBImpl final : public DB {
   /// value bytes, checksum-verified.
   Status ResolvePointerValue(std::string* value) const;
   /// Admission control for the write path, called by the group-commit
-  /// leader (or a serialized writer) with `batch_bytes` = the caller's
-  /// batch payload. Switches/queues memtables, hard-stalls on a full
-  /// immutable queue or an L0 at the stop trigger, and — between the soft
-  /// and hard L0 triggers — injects the write controller's graduated
-  /// pacing delay (at most once per call; batch_bytes == 0 is exempt).
+  /// leader with `batch_bytes` = the caller's batch payload. Switches/
+  /// queues memtables, hard-stalls on a full immutable queue or an L0 at
+  /// the stop trigger, and — between the soft and hard L0 triggers —
+  /// injects the write controller's graduated pacing delay (at most once
+  /// per call; batch_bytes == 0 is exempt).
   Status MakeRoomForWrite(uint64_t batch_bytes) REQUIRES(mu_);
   Status SwitchMemTable() REQUIRES(mu_);
   /// Recomputes the write controller's pressure from the current L0 file
   /// count and immutable-queue depth. Call after anything that changes
   /// either (memtable switch, flush/compaction install, recovery).
   void RefreshWritePressure() REQUIRES(mu_);
-  /// Blocks the caller on stall_cv_, charging the wait to `window` (and,
-  /// via the window, to the matching per-cause stall counter). Overlapping
-  /// waiters share one wall-clock window, so stall time is not multiplied
-  /// by the number of stalled threads.
-  void StallWait(int cause) REQUIRES(mu_);
-  /// Wakes stalled writers after background progress: wakes one memtable
-  /// waiter per freed flush slot, every waiter when L0 drained (or on
-  /// shutdown/error, where all must observe the latch).
-  void SignalStalledWriters(bool l0_changed) REQUIRES(mu_);
+  /// Stall causes a writer can park on.
+  enum StallCause { kStallMemTable, kStallL0 };
+  /// Blocks the caller on stall_cv_ and charges the wait to the cause's
+  /// stall counter. Only the front of writers_ (a group-commit leader or a
+  /// FlushMemTable switch request) stalls, so waits never overlap and the
+  /// counters add up to wall-clock time.
+  void StallWait(StallCause cause) REQUIRES(mu_);
   bool MemTableQueueFull() const REQUIRES(mu_) {
     return 1 + static_cast<int>(imm_queue_.size()) >=
            std::max(2, options_.max_write_buffer_number);
@@ -158,6 +153,9 @@ class DBImpl final : public DB {
   void RetryCompactionSchedule() EXCLUDES(mu_);
   void BackgroundFlushCall() EXCLUDES(mu_);
   void BackgroundCompactionCall() EXCLUDES(mu_);
+  /// File number for a new table output, added to pending_outputs_ (the
+  /// TableOutputWriter callback).
+  uint64_t NewOutputNumber() REQUIRES(mu_);
   Status CompactMemTable(MemTable* imm) EXCLUDES(mu_);
   bool NeedsCompaction() const REQUIRES(mu_);
   /// True when value-log GC wants a compaction: some segment's garbage
@@ -215,24 +213,11 @@ class DBImpl final : public DB {
   // mutex; compiler-enforced via the GUARDED_BY/REQUIRES annotations below.
   mutable Mutex mu_;
   CondVar bg_cv_{&mu_};
-  /// Writers hard-stalled in MakeRoomForWrite (and flush barriers waiting
-  /// for a queue slot) park here instead of on bg_cv_, so a background
-  /// completion can wake exactly the writers that can now make progress:
-  /// one per freed memtable slot, all when L0 drains. bg_cv_ keeps serving
-  /// the broadcast-style completion waits (FlushMemTable(wait),
-  /// CompactRange, the destructor).
+  /// The writer hard-stalled in StallWait parks here instead of on bg_cv_,
+  /// so only flush and compaction installs (and a read-only latch) wake
+  /// it. bg_cv_ keeps serving the broadcast-style completion waits
+  /// (FlushMemTable(wait), CompactRange, the destructor).
   CondVar stall_cv_{&mu_};
-
-  /// Stall causes writers can park on (indexes into stall_windows_).
-  enum StallCause { kStallMemTable = 0, kStallL0 = 1, kNumStallCauses = 2 };
-  /// Shared wall-clock window per stall cause: the first waiter opens the
-  /// window, the last one out closes it and charges the elapsed time to
-  /// the cause's counter — concurrent waiters never multiply stall time.
-  struct StallWindow {
-    int waiters = 0;
-    uint64_t start_micros = 0;  // valid while waiters > 0
-  };
-  StallWindow stall_windows_[kNumStallCauses] GUARDED_BY(mu_);
 
   /// Graduated-backpressure state (Options::l0_slowdown_writes_trigger).
   WriteController write_controller_ GUARDED_BY(mu_);
@@ -292,6 +277,10 @@ class DBImpl final : public DB {
   /// destructor waits it out (cleared under mu_, signalled via bg_cv_).
   std::atomic<bool> arbiter_task_pending_{false};
 
+  /// Table outputs being written, which the obsolete-file sweep must keep.
+  /// A number leaves in the critical section that installs its table. A
+  /// failed job's numbers stay: its error latches the store read-only,
+  /// which stops the sweep, and ~TableOutputWriter removes its files.
   std::set<uint64_t> pending_outputs_ GUARDED_BY(mu_);
   std::list<const SnapshotImpl*> snapshots_ GUARDED_BY(mu_);
   DbStats stats_ GUARDED_BY(mu_);
@@ -313,13 +302,10 @@ class DBImpl final : public DB {
   std::unique_ptr<ThreadPool> owned_bg_pool_;         // unguarded: see bg_pool_
 };
 
-/// The compaction concurrency cap for `options`: the explicit
-/// max_concurrent_compactions when set, else max(1, background_threads-1)
-/// so one pool thread stays free for memtable flushes.
+/// The compaction concurrency cap for `options`: max(1,
+/// background_threads - 1), so one pool thread stays free for memtable
+/// flushes.
 inline int EffectiveCompactionCap(const Options& options) {
-  if (options.max_concurrent_compactions > 0) {
-    return options.max_concurrent_compactions;
-  }
   return std::max(1, options.background_threads - 1);
 }
 

@@ -121,12 +121,6 @@ struct Options {
   /// Target file size for compaction outputs.
   uint64_t target_file_size = 8 * MiB;
 
-  /// Bloom filter bits per key for SSTables (0 disables filters).
-  int bloom_bits_per_key = 10;
-
-  /// Capacity of the block cache (ignored when disable_cache).
-  uint64_t block_cache_capacity = 8 * MiB;
-
   /// Keep every open table's index and filter blocks pinned (cache handle
   /// retained for the table's lifetime) instead of re-fetching them through
   /// the block cache on each probe. Off = per-probe cache round trips, kept
@@ -142,14 +136,10 @@ struct Options {
   /// Flushes and compactions are scheduled independently, so with >= 2
   /// threads a long compaction never delays a memtable flush. The paper
   /// configures a single *flushing* thread (§3.1.2); at most one flush
-  /// runs at a time regardless of this value.
+  /// runs at a time regardless of this value. Compactions across all
+  /// shards of a store are capped at max(1, background_threads - 1), so
+  /// one thread stays free for flushes.
   int background_threads = 1;
-
-  /// Group commit: concurrent DB::Write callers queue up, the front writer
-  /// merges the pending batches and performs one WAL append + sync for the
-  /// whole group with the DB mutex released. Disable to fall back to the
-  /// fully serialized write path (kept for ablation benchmarks).
-  bool enable_group_commit = true;
 
   // --- sharding -------------------------------------------------------------
 
@@ -163,20 +153,6 @@ struct Options {
   /// recorded in a SHARDS marker file; reopening with a different value
   /// fails with InvalidArgument.
   int num_shards = 1;
-
-  /// Cap on compactions executing concurrently across all shards of a
-  /// store (each shard runs at most one compaction at a time regardless,
-  /// so a hot shard can never hold more than one slot — that is the
-  /// fairness guarantee). 0 = auto: max(1, background_threads - 1),
-  /// keeping one pool thread free for memtable flushes.
-  int max_concurrent_compactions = 0;
-
-  /// Overlap compaction I/O with merge compute (Pome-style pipeline): a
-  /// producer thread reads, decodes and heap-merges input blocks into
-  /// double-buffered entry batches while the consumer thread runs the
-  /// drop logic and encodes/writes output tables, and each finished
-  /// output's fsync overlaps the build of the next one.
-  bool pipeline_compaction_io = true;
 
   // --- value log (WAL-time key/value separation) ----------------------------
 
@@ -205,7 +181,7 @@ struct Options {
   // --- global memory arbitration (multi-tenant; see DESIGN.md §15) ----------
 
   /// Shared block cache. When set (and !disable_cache) the DB uses this
-  /// cache instead of allocating a private one of block_cache_capacity;
+  /// cache instead of allocating a private 8 MiB one;
   /// inserts are charged to `tenant_id`. Must outlive the DB. Typically
   /// MemoryArbiter::shared_cache().
   Cache* block_cache = nullptr;

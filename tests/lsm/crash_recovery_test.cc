@@ -101,7 +101,6 @@ void RunCrashIteration(uint64_t seed, int num_shards,
   options.num_shards = num_shards;
   options.write_buffer_size = 8 * KiB;  // small enough to force flushes
   options.disable_compaction = rng.Bernoulli(0.5);
-  options.enable_group_commit = rng.Bernoulli(0.75);
   options.value_log_threshold = value_log_threshold;
   if (value_log_threshold > 0) {
     options.value_log_segment_size = 4 * KiB;  // force rotation mid-run

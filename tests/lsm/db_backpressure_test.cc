@@ -214,17 +214,14 @@ TEST_F(DbBackpressureTest, L0StallsAreAttributedToTheirCause) {
   db_.reset();
 }
 
-// Thundering-herd regression: with N writers parked on a full memtable
+// Thundering-herd regression: with N writers held up by a full memtable
 // queue, the stall counters must record the wall-clock window once — not
-// once per waiting writer. Serialized writes (no group commit) put every
-// thread into MakeRoomForWrite itself, the worst case for the old
-// accounting, which would report up to N x the elapsed time.
+// once per waiting writer.
 TEST_F(DbBackpressureTest, StallTimeDoesNotMultiplyWithWriterCount) {
   SlowTableVfs slow(fs_, /*delay_us=*/3000);
   Options options = BaseOptions();
   options.vfs = &slow;
   options.disable_compaction = true;
-  options.enable_group_commit = false;
   options.max_write_buffer_number = 2;
   Open(options);
 
@@ -257,7 +254,7 @@ TEST_F(DbBackpressureTest, StallTimeDoesNotMultiplyWithWriterCount) {
   // Wall-clock accounting: the recorded stall time cannot exceed the whole
   // write phase (plus scheduling slack), let alone approach N x it.
   EXPECT_LT(stats.write_stall_micros, elapsed_micros * 3 / 2);
-  // Every serialized write still landed in the latency histogram.
+  // Every write, leader or follower, landed in the latency histogram.
   EXPECT_EQ(stats.write_latency.count(),
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
 
