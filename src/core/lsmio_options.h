@@ -88,9 +88,6 @@ struct LsmioOptions {
   /// but remains available for ablation).
   bool use_write_batch = false;
 
-  /// Default barrier behaviour.
-  BarrierMode barrier_mode = BarrierMode::kSync;
-
   // --- §3.1.3 MPI integration ---
   /// Optional communicator. When set with `collective_io`, puts are routed
   /// to an owner rank by key hash (the paper's future-work collective mode).

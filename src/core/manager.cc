@@ -183,7 +183,7 @@ Status Manager::Del(const Slice& key) {
   return s;
 }
 
-Status Manager::WriteBarrier() { return WriteBarrier(options_.barrier_mode); }
+Status Manager::WriteBarrier() { return WriteBarrier(BarrierMode::kSync); }
 
 Status Manager::WriteBarrier(BarrierMode mode) {
   Status s = store_->WriteBarrier(mode);

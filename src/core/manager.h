@@ -75,7 +75,7 @@ class Manager {
 
   Status Del(const Slice& key);
 
-  /// Flushes buffered writes; sync/async per argument (default: options).
+  /// Flushes buffered writes; sync/async per argument (default: sync).
   Status WriteBarrier();
   Status WriteBarrier(BarrierMode mode);
 
@@ -90,10 +90,6 @@ class Manager {
 
   [[nodiscard]] ManagerCounters counters() const;
   [[nodiscard]] lsm::DbStats engine_stats() const { return store_->EngineStats(); }
-  /// Verbose per-shard engine counters (a single entry for unsharded stores).
-  [[nodiscard]] std::vector<lsm::DbStats> engine_stats_per_shard() const {
-    return store_->EngineStatsPerShard();
-  }
   /// OK while the underlying store accepts writes; the typed ReadOnly
   /// status after a durability failure latched it read-only.
   [[nodiscard]] Status Health() const { return store_->Health(); }

@@ -177,12 +177,6 @@ class LsmStore final : public Store {
 
   lsm::DbStats EngineStats() const override { return db_->GetStats(); }
 
-  std::vector<lsm::DbStats> EngineStatsPerShard() const override {
-    std::vector<lsm::DbStats> per_shard;
-    db_->GetShardStats(&per_shard);
-    return per_shard;
-  }
-
   Status Health() const override { return db_->HealthStatus(); }
 
   uint64_t MemoryTenantId() const override { return tenant_id_; }

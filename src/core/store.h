@@ -56,13 +56,8 @@ class Store {
   virtual Status WriteBarrier(BarrierMode mode) = 0;
 
   /// Engine statistics passthrough. On a sharded store these are whole-store
-  /// aggregates (counters summed, gauges maxed).
+  /// aggregates, each statistic folded across shards by its declared kind.
   [[nodiscard]] virtual lsm::DbStats EngineStats() const = 0;
-  /// Verbose per-shard breakdown; a single entry (== EngineStats) when the
-  /// backing engine is unsharded.
-  [[nodiscard]] virtual std::vector<lsm::DbStats> EngineStatsPerShard() const {
-    return {EngineStats()};
-  }
   /// Health passthrough: OK while the engine accepts writes; the typed
   /// ReadOnly status once a WAL/manifest/flush failure latched the engine
   /// into sticky read-only mode (reopen to clear).

@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/histogram.h"
@@ -32,90 +33,102 @@ class Snapshot {
   virtual ~Snapshot() = default;
 };
 
-/// Point-in-time statistics of the engine (performance counters).
+/// How a statistic folds across the shards of a store (DbStats::Merge).
+enum class StatKind : uint8_t {
+  kCounter,      ///< event total; summed
+  kGaugeSum,     ///< state no two shards share (memtables, blob segments); summed
+  kGaugeMax,     ///< per-shard state where the worst shard speaks for the store; max
+  kSharedTotal,  ///< a total of an object every shard shares, which each shard
+                 ///< reports in full; max
+  kHistogram,    ///< latency distribution in microseconds; merged
+};
+
+/// The member type of a statistic of kind `K`.
+template <StatKind K>
+using StatValue = std::conditional_t<K == StatKind::kHistogram, Histogram, uint64_t>;
+
+// Every engine statistic, declared once as X(name, kind, help). DbStats has
+// one member per row, and DbStats::Merge folds each row by its kind, so a new
+// statistic is one row here plus the code that updates it.
+#define LSMIO_DB_STATS(X)                                                                          \
+  X(puts, kCounter, "put records applied")                                                         \
+  X(deletes, kCounter, "delete records applied")                                                   \
+  X(gets, kCounter, "Get calls")                                                                   \
+  X(get_hits, kCounter, "Get and MultiGet lookups that found the key")                             \
+  X(memtable_flushes, kCounter, "memtables flushed to a table")                                    \
+  X(compactions, kCounter, "compactions installed")                                                \
+  X(bytes_written, kCounter, "user payload bytes accepted")                                        \
+  X(bytes_flushed, kCounter, "table bytes produced by flushes")                                    \
+  X(wal_bytes, kCounter, "bytes appended to the WAL")                                              \
+  /* write pipeline */                                                                             \
+  X(group_commit_batches, kCounter, "write groups led (one WAL append each)")                      \
+  X(group_commit_writers, kCounter, "writers absorbed into groups")                                \
+  X(write_stall_micros, kCounter,                                                                  \
+    "wall-clock time writers were hard-stalled: the sum of the two causes below, "                 \
+    "not multiplied by the waiter count")                                                          \
+  X(stall_memtable_micros, kCounter, "... because every memtable was full and queued for flush")   \
+  X(stall_l0_micros, kCounter, "... because L0 hit the stop trigger")                              \
+  X(slowdown_delay_micros, kCounter,                                                               \
+    "pacing delay injected by graduated backpressure (soft trigger) in place of hard stalls")      \
+  X(slowdown_writes, kCounter,                                                                     \
+    "write groups admitted while pacing was active (the delay is zero if the bucket had drained)") \
+  X(flush_queue_depth, kGaugeMax, "immutable memtables pending flush")                             \
+  X(compaction_queue_depth, kGaugeMax,                                                             \
+    "compactions scheduled or running, including one parked on the store limiter")                 \
+  /* background I/O rate limiting (Options::bytes_per_sec), one limiter per store */               \
+  X(rate_limited_bytes_flush, kSharedTotal, "flush bytes paced (high priority)")                   \
+  X(rate_limited_bytes_compaction, kSharedTotal, "compaction bytes paced (low priority)")          \
+  X(rate_limiter_wait_micros, kSharedTotal, "time background writers slept in the limiter")        \
+  /* per-operation latency, recorded lock-free and folded in by GetStats */                        \
+  X(write_latency, kHistogram, "DB::Write, Put and Delete, including stalls and pacing")           \
+  X(get_latency, kHistogram, "DB::Get")                                                            \
+  X(multiget_latency, kHistogram, "DB::MultiGet, per batch")                                       \
+  /* read path */                                                                                  \
+  X(multiget_batches, kCounter, "MultiGet calls")                                                  \
+  X(multiget_keys, kCounter, "keys looked up through MultiGet")                                    \
+  X(multiget_coalesced_reads, kCounter, "block reads saved by coalescing")                         \
+  X(bloom_checked, kCounter, "bloom-filter probes")                                                \
+  X(bloom_useful, kCounter, "probes that proved a key absent")                                     \
+  X(block_cache_hits, kCounter, "block-cache lookups that hit")                                    \
+  X(block_cache_misses, kCounter, "block-cache lookups that missed")                               \
+  X(readahead_bytes, kCounter, "bytes hinted ahead to the VFS")                                    \
+  /* health */                                                                                     \
+  X(read_only_mode, kGaugeMax, "1 once a background error latched the engine read-only")           \
+  /* sharding and compaction parallelism */                                                        \
+  X(shards, kGaugeSum, "sub-LSMs of the store (1 per DBImpl)")                                     \
+  X(concurrent_compactions, kSharedTotal, "compactions executing now, store-wide")                 \
+  X(peak_concurrent_compactions, kSharedTotal, "high-water mark of concurrent_compactions")        \
+  X(compaction_pipeline_batches, kCounter,                                                         \
+    "entry batches handed from the compaction read/merge producer to the encode/write consumer")   \
+  /* write amplification and value log */                                                          \
+  X(compaction_bytes_read, kCounter, "input table bytes read by compactions")                      \
+  X(compaction_bytes_written, kCounter, "output table bytes written by compactions")               \
+  X(value_log_bytes_written, kCounter, "user value bytes separated into blob segments")            \
+  X(value_log_separated_batches, kCounter, "write groups that had at least one value separated")   \
+  X(value_log_gc_rewritten_bytes, kCounter, "value bytes GC relocated into fresh segments")        \
+  X(value_log_segments_deleted, kCounter, "blob segments reclaimed by GC")                         \
+  X(value_log_segments, kGaugeSum, "blob segments on disk")                                        \
+  X(value_log_live_bytes, kGaugeSum, "blob record bytes still referenced")                         \
+  X(value_log_garbage_bytes, kGaugeSum, "blob record bytes awaiting GC")                           \
+  /* global memory arbitration (Options::write_memory_pool, MemoryArbiter) */                      \
+  X(memtable_bytes, kGaugeSum, "active and immutable memtable bytes")                              \
+  X(tenant_cache_bytes, kGaugeSum,                                                                 \
+    "block-cache bytes charged to this store's tenant (shared cache, which ShardedDB maxes), "     \
+    "else the private cache's total")                                                              \
+  X(arbiter_forced_flushes, kCounter, "memtable switches forced by the write-memory arbiter")      \
+  X(write_pool_usage_bytes, kSharedTotal, "pool usage across every attached store")                \
+  X(write_pool_budget_bytes, kSharedTotal, "configured pool budget")
+
+/// Point-in-time statistics of the engine (performance counters, paper
+/// §3.1.4): one member per LSMIO_DB_STATS row.
 struct DbStats {
-  uint64_t puts = 0;
-  uint64_t deletes = 0;
-  uint64_t gets = 0;
-  uint64_t get_hits = 0;
-  uint64_t memtable_flushes = 0;
-  uint64_t compactions = 0;
-  uint64_t bytes_written = 0;   // user payload accepted
-  uint64_t bytes_flushed = 0;   // table bytes produced by flushes
-  uint64_t bytes_compacted = 0; // table bytes produced by compactions
-  uint64_t wal_bytes = 0;
-  // --- write pipeline ---
-  uint64_t group_commit_batches = 0;  // write groups led (1 WAL append each)
-  uint64_t group_commit_writers = 0;  // writers absorbed into groups
-  uint64_t write_stall_micros = 0;    // wall-clock time writers were hard-
-                                      // stalled (sum of the two causes below;
-                                      // NOT multiplied by waiter count)
-  uint64_t stall_memtable_micros = 0; // ... because every memtable was full
-                                      // and queued behind in-flight flushes
-  uint64_t stall_l0_micros = 0;       // ... because L0 hit the stop trigger
-  uint64_t slowdown_delay_micros = 0; // pacing delay injected by graduated
-                                      // backpressure (soft trigger), which
-                                      // replaces hard stalls under load
-  uint64_t slowdown_writes = 0;       // write groups admitted while pacing
-                                      // was active (delay can be zero when
-                                      // the bucket had drained)
-  uint64_t flush_queue_depth = 0;     // gauge: immutable memtables pending
-  uint64_t compaction_queue_depth = 0;// gauge: compactions scheduled/running
-                                      // (incl. parked on the store limiter)
-  // --- background I/O rate limiting (Options::bytes_per_sec) ---
-  uint64_t rate_limited_bytes_flush = 0;      // flush bytes paced (high pri)
-  uint64_t rate_limited_bytes_compaction = 0; // compaction bytes paced (low)
-  uint64_t rate_limiter_wait_micros = 0;      // background-writer sleep time
-  // --- per-operation latency (microseconds; lock-free recorders folded in
-  // by GetStats, merged across shards) ---
-  Histogram write_latency;     // DB::Write / Put / Delete, incl. stalls
-  Histogram get_latency;       // DB::Get
-  Histogram multiget_latency;  // DB::MultiGet (per batch)
-  // --- read path ---
-  uint64_t multiget_batches = 0;      // MultiGet calls
-  uint64_t multiget_keys = 0;         // keys looked up via MultiGet
-  uint64_t multiget_coalesced_reads = 0;  // block reads saved by coalescing
-  uint64_t bloom_checked = 0;         // bloom-filter probes
-  uint64_t bloom_useful = 0;          // probes that proved a key absent
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
-  uint64_t readahead_bytes = 0;       // bytes hinted ahead to the VFS
-  // --- health ---
-  uint64_t read_only_mode = 0;        // gauge: 1 once a background error
-                                      // latched the engine read-only
-  // --- sharding / compaction parallelism ---
-  uint64_t shards = 1;                // gauge: sub-LSM count of the store
-  uint64_t concurrent_compactions = 0;      // gauge: compactions executing
-                                            // right now (store-wide)
-  uint64_t peak_concurrent_compactions = 0; // high-water mark of the above
-  uint64_t compaction_pipeline_batches = 0; // entry batches handed from the
-                                            // compaction read/merge producer
-                                            // to the encode/write consumer
-  // --- write amplification / value log ---
-  uint64_t compaction_bytes_read = 0;     // input table bytes read by compactions
-  uint64_t compaction_bytes_written = 0;  // output table bytes written by
-                                          // compactions (== bytes_compacted)
-  uint64_t value_log_bytes_written = 0;   // user value bytes separated into
-                                          // blob segments at write time
-  uint64_t value_log_separated_batches = 0; // write groups that had at least
-                                            // one value separated
-  uint64_t value_log_gc_rewritten_bytes = 0; // value bytes GC relocated into
-                                             // fresh segments
-  uint64_t value_log_segments_deleted = 0;   // blob segments reclaimed by GC
-  uint64_t value_log_segments = 0;     // gauge: blob segments on disk
-  uint64_t value_log_live_bytes = 0;   // gauge: record bytes still referenced
-  uint64_t value_log_garbage_bytes = 0;// gauge: record bytes awaiting GC
-  // --- global memory arbitration (Options::write_memory_pool / MemoryArbiter)
-  uint64_t memtable_bytes = 0;         // gauge: active + immutable memtable
-                                       // bytes (summed across shards)
-  uint64_t tenant_cache_bytes = 0;     // gauge: block-cache bytes charged to
-                                       // this store's tenant (shared cache),
-                                       // else the private cache's total
-  uint64_t arbiter_forced_flushes = 0; // memtable switches forced by the
-                                       // global write-memory arbiter
-  uint64_t write_pool_usage_bytes = 0; // gauge: aggregate pool usage across
-                                       // every attached store (process-wide)
-  uint64_t write_pool_budget_bytes = 0;// gauge: configured pool budget
+#define LSMIO_DB_STAT_MEMBER(name, kind, help) StatValue<StatKind::kind> name = {};
+  LSMIO_DB_STATS(LSMIO_DB_STAT_MEMBER)
+#undef LSMIO_DB_STAT_MEMBER
+
+  /// Folds one shard's statistics into this store-wide aggregate, each
+  /// statistic by its declared kind.
+  void Merge(const DbStats& shard);
 };
 
 class DB {
@@ -144,21 +157,13 @@ class DB {
   /// Batched point lookup: fills (*values)[i] / (*statuses)[i] for keys[i]
   /// (both resized to keys.size()), all at one consistent sequence number.
   /// The returned Status reflects batch-level failures (I/O errors);
-  /// per-key presence is in *statuses (OK / NotFound). The base
-  /// implementation loops over Get; DBImpl overrides it with a batch that
-  /// resolves memtable hits under one mutex acquisition, groups the rest by
-  /// table file, and coalesces adjacent block reads.
+  /// per-key presence is in *statuses (OK / NotFound). DBImpl resolves
+  /// memtable hits under one mutex acquisition, groups the rest by table
+  /// file, and coalesces adjacent block reads.
   virtual Status MultiGet(const ReadOptions& options,
                           std::span<const Slice> keys,
                           std::vector<std::string>* values,
-                          std::vector<Status>* statuses) {
-    values->assign(keys.size(), {});
-    statuses->assign(keys.size(), Status::OK());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      (*statuses)[i] = Get(options, keys[i], &(*values)[i]);
-    }
-    return Status::OK();
-  }
+                          std::vector<Status>* statuses) = 0;
 
   /// Iterator over the DB (caller deletes before the DB closes).
   virtual Iterator* NewIterator(const ReadOptions& options) = 0;
@@ -187,9 +192,9 @@ class DB {
   /// reopen the DB to clear the condition.
   virtual Status HealthStatus() const { return Status::OK(); }
 
-  /// Engine counters. On a sharded store these are whole-store aggregates:
-  /// counters are summed across shards, gauges (queue depths, read-only
-  /// mode, compaction concurrency) take the max.
+  /// Engine statistics. On a sharded store these are whole-store
+  /// aggregates: each statistic folds across shards by its declared kind
+  /// (LSMIO_DB_STATS).
   virtual DbStats GetStats() const = 0;
 
   /// Per-shard counter breakdown (the verbose form of GetStats). Unsharded

@@ -508,7 +508,14 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     }
     if (ready == last_writer) break;
   }
-  if (!writers_.empty()) writers_.front()->cv.Signal();
+  if (!writers_.empty()) {
+    writers_.front()->cv.Signal();
+  } else if (arbiter_switch_requested_.load(std::memory_order_acquire)) {
+    // A victim request that arrived after this group's MakeRoomForWrite,
+    // with no leader behind it to honour it: ArbiterFlushCall may already
+    // have deferred to this group, so schedule it again.
+    RequestArbiterFlush();
+  }
   write_latency_rec_.Record(clock_->NowMicros() - op_start_micros);
   return status;
 }
@@ -613,7 +620,7 @@ void DBImpl::ReportPoolUsage(bool wrote) {
 }
 
 void DBImpl::RequestArbiterFlush() {
-  // Runs under the pool's mutex with no DB mutex held; must not block.
+  // Must not block: the pool invokes this under its own mutex.
   arbiter_switch_requested_.store(true, std::memory_order_release);
   if (!arbiter_task_pending_.exchange(true, std::memory_order_acq_rel)) {
     bg_pool_->Submit([this] { ArbiterFlushCall(); });
@@ -644,7 +651,8 @@ void DBImpl::ArbiterFlushCall() {
       ReportPoolUsage(/*wrote=*/false);
     }
     // else: a write group is in flight — its leader consumes the flag in
-    // MakeRoomForWrite without ever blocking on this store's behalf.
+    // MakeRoomForWrite without ever blocking on this store's behalf, or,
+    // if already past it, schedules this call again when the group ends.
   }
   bg_cv_.SignalAll();
 }
@@ -1356,7 +1364,6 @@ Status DBImpl::CompactFiles(int level,
   for (const auto& f : out.outputs()) {
     additions.emplace_back(output_level, f);
     pending_outputs_.erase(f.number);
-    stats_.bytes_compacted += f.file_size;
     stats_.compaction_bytes_written += f.file_size;
   }
   out.Keep();
@@ -1685,6 +1692,27 @@ void DBImpl::ReleaseSnapshot(const Snapshot* snapshot) {
   delete impl;
 }
 
+namespace {
+
+template <StatKind K>
+void MergeStat(StatValue<K>& total, const StatValue<K>& shard) {
+  if constexpr (K == StatKind::kHistogram) {
+    total.Merge(shard);
+  } else if constexpr (K == StatKind::kCounter || K == StatKind::kGaugeSum) {
+    total += shard;
+  } else {
+    total = std::max(total, shard);
+  }
+}
+
+}  // namespace
+
+void DbStats::Merge(const DbStats& shard) {
+#define LSMIO_DB_STAT_MERGE(name, kind, help) MergeStat<StatKind::kind>(name, shard.name);
+  LSMIO_DB_STATS(LSMIO_DB_STAT_MERGE)
+#undef LSMIO_DB_STAT_MERGE
+}
+
 DbStats DBImpl::GetStats() const {
   MutexLock lock(&mu_);
   DbStats stats = stats_;
@@ -1693,12 +1721,10 @@ DbStats DBImpl::GetStats() const {
   stats.compaction_queue_depth =
       (compaction_scheduled_ ? 1 : 0) + (compaction_waiting_ ? 1 : 0);
   stats.shards = 1;
-  // Store-wide when the limiter is shared across a ShardedDB's sub-LSMs
-  // (every shard reports the same value; the aggregate takes the max).
+  // A ShardedDB's shards share one compaction limiter and one rate limiter,
+  // so each shard reports their store-wide values (kSharedTotal).
   stats.concurrent_compactions = limiter_->executing();
   stats.peak_concurrent_compactions = limiter_->peak_executing();
-  // Store-wide when the rate limiter is shared (aggregate takes the max,
-  // like the other shared gauges/counters above).
   if (rate_limiter_ != nullptr) {
     stats.rate_limited_bytes_flush =
         rate_limiter_->bytes_through(RateLimiter::Priority::kHigh);
@@ -1716,15 +1742,7 @@ DbStats DBImpl::GetStats() const {
   stats.block_cache_misses = read_counters_.block_cache_misses.load(relaxed);
   stats.readahead_bytes = read_counters_.readahead_bytes.load(relaxed);
   stats.multiget_coalesced_reads = read_counters_.coalesced_reads.load(relaxed);
-  if (vlog_ != nullptr) {
-    const ValueLogCounters c = vlog_->Counters();
-    stats.value_log_bytes_written = c.bytes_written;
-    stats.value_log_gc_rewritten_bytes = c.gc_rewritten_bytes;
-    stats.value_log_segments_deleted = c.segments_deleted;
-    stats.value_log_segments = c.segments;
-    stats.value_log_live_bytes = c.live_bytes;
-    stats.value_log_garbage_bytes = c.garbage_bytes;
-  }
+  if (vlog_ != nullptr) vlog_->FillStats(&stats);
   uint64_t mem_bytes = mem_ != nullptr ? mem_->ApproximateMemoryUsage() : 0;
   for (const MemTable* imm : imm_queue_) {
     mem_bytes += imm->ApproximateMemoryUsage();

@@ -138,10 +138,12 @@ class DBImpl final : public DB {
   /// May synchronously invoke victim callbacks (ours or other stores') —
   /// those only set flags and submit pool tasks, never take a DB mutex.
   void ReportPoolUsage(bool wrote) REQUIRES(mu_);
-  /// Victim callback invoked by the pool (pool mutex held, no DB mutex).
-  /// Non-blocking: flags a switch for the next group-commit leader and
-  /// schedules ArbiterFlushCall for stores with no writer in flight.
-  void RequestArbiterFlush() EXCLUDES(mu_);
+  /// Victim callback invoked by the pool (pool mutex held, no DB mutex),
+  /// and by a leader that ends its group with the request still pending
+  /// (mu_ held). Non-blocking: flags a switch for the next group-commit
+  /// leader and schedules ArbiterFlushCall for stores with no writer in
+  /// flight.
+  void RequestArbiterFlush();
   /// Background half of the victim protocol: switches an idle store's
   /// memtable (an empty writer queue under mu_ gives leader-grade
   /// exclusivity) or falls back to scheduling/deferring.

@@ -356,94 +356,15 @@ Status ShardedDB::HealthStatus() const {
 }
 
 DbStats ShardedDB::GetStats() const {
-  // Counters sum across shards; gauges take the max (for the compaction
-  // concurrency gauges every shard reports the same store-wide limiter
-  // values, so the max is exact).
   DbStats total;
-  bool first = true;
   for (const auto& shard : shards_) {
     const DbStats s = shard->GetStats();
-    if (first) {
-      total = s;
-      first = false;
-      continue;
-    }
-    total.puts += s.puts;
-    total.deletes += s.deletes;
-    total.gets += s.gets;
-    total.get_hits += s.get_hits;
-    total.memtable_flushes += s.memtable_flushes;
-    total.compactions += s.compactions;
-    total.bytes_written += s.bytes_written;
-    total.bytes_flushed += s.bytes_flushed;
-    total.bytes_compacted += s.bytes_compacted;
-    total.wal_bytes += s.wal_bytes;
-    total.group_commit_batches += s.group_commit_batches;
-    total.group_commit_writers += s.group_commit_writers;
-    total.write_stall_micros += s.write_stall_micros;
-    total.stall_memtable_micros += s.stall_memtable_micros;
-    total.stall_l0_micros += s.stall_l0_micros;
-    total.slowdown_delay_micros += s.slowdown_delay_micros;
-    total.slowdown_writes += s.slowdown_writes;
-    total.write_latency.Merge(s.write_latency);
-    total.get_latency.Merge(s.get_latency);
-    total.multiget_latency.Merge(s.multiget_latency);
-    total.multiget_batches += s.multiget_batches;
-    total.multiget_keys += s.multiget_keys;
-    total.multiget_coalesced_reads += s.multiget_coalesced_reads;
-    total.bloom_checked += s.bloom_checked;
-    total.bloom_useful += s.bloom_useful;
-    total.block_cache_hits += s.block_cache_hits;
-    total.block_cache_misses += s.block_cache_misses;
-    total.readahead_bytes += s.readahead_bytes;
-    total.compaction_pipeline_batches += s.compaction_pipeline_batches;
-    total.compaction_bytes_read += s.compaction_bytes_read;
-    total.compaction_bytes_written += s.compaction_bytes_written;
-    total.value_log_bytes_written += s.value_log_bytes_written;
-    total.value_log_separated_batches += s.value_log_separated_batches;
-    total.value_log_gc_rewritten_bytes += s.value_log_gc_rewritten_bytes;
-    total.value_log_segments_deleted += s.value_log_segments_deleted;
-    // Per-shard value logs are disjoint, so summing these gauges gives the
-    // exact store-wide value (unlike the shared-limiter gauges below).
-    total.value_log_segments += s.value_log_segments;
-    total.value_log_live_bytes += s.value_log_live_bytes;
-    total.value_log_garbage_bytes += s.value_log_garbage_bytes;
-    total.flush_queue_depth = std::max(total.flush_queue_depth, s.flush_queue_depth);
-    total.compaction_queue_depth =
-        std::max(total.compaction_queue_depth, s.compaction_queue_depth);
-    total.read_only_mode = std::max(total.read_only_mode, s.read_only_mode);
-    total.concurrent_compactions =
-        std::max(total.concurrent_compactions, s.concurrent_compactions);
-    total.peak_concurrent_compactions = std::max(
-        total.peak_concurrent_compactions, s.peak_concurrent_compactions);
-    // One RateLimiter is shared by every shard, so each reports the same
-    // store-wide totals: take the max, not the sum.
-    total.rate_limited_bytes_flush =
-        std::max(total.rate_limited_bytes_flush, s.rate_limited_bytes_flush);
-    total.rate_limited_bytes_compaction =
-        std::max(total.rate_limited_bytes_compaction,
-                 s.rate_limited_bytes_compaction);
-    total.rate_limiter_wait_micros =
-        std::max(total.rate_limiter_wait_micros, s.rate_limiter_wait_micros);
-    // Per-shard memtables are disjoint: sum. Shard attachments flush
-    // independently: sum the forced-flush counter too.
-    total.memtable_bytes += s.memtable_bytes;
-    total.arbiter_forced_flushes += s.arbiter_forced_flushes;
+    const uint64_t tenant_cache_max = std::max(total.tenant_cache_bytes, s.tenant_cache_bytes);
+    total.Merge(s);
     // With a shared cache every shard reports the tenant's store-wide
     // charge (max is exact); private per-shard caches are disjoint (sum).
-    if (options_.block_cache != nullptr) {
-      total.tenant_cache_bytes =
-          std::max(total.tenant_cache_bytes, s.tenant_cache_bytes);
-    } else {
-      total.tenant_cache_bytes += s.tenant_cache_bytes;
-    }
-    // Process-wide pool gauges: identical in every shard, take the max.
-    total.write_pool_usage_bytes =
-        std::max(total.write_pool_usage_bytes, s.write_pool_usage_bytes);
-    total.write_pool_budget_bytes =
-        std::max(total.write_pool_budget_bytes, s.write_pool_budget_bytes);
+    if (options_.block_cache != nullptr) total.tenant_cache_bytes = tenant_cache_max;
   }
-  total.shards = shards_.size();
   return total;
 }
 

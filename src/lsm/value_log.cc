@@ -351,19 +351,21 @@ int ValueLog::SweepDeletable() {
   return static_cast<int>(deletable.size());
 }
 
-ValueLogCounters ValueLog::Counters() const {
+void ValueLog::FillStats(DbStats* stats) const {
   MutexLock lock(&mu_);
-  ValueLogCounters c;
-  c.bytes_written = bytes_written_;
-  c.gc_rewritten_bytes = gc_rewritten_bytes_;
-  c.segments_deleted = segments_deleted_;
-  c.segments = segments_.size();
+  stats->value_log_bytes_written = bytes_written_;
+  stats->value_log_gc_rewritten_bytes = gc_rewritten_bytes_;
+  stats->value_log_segments_deleted = segments_deleted_;
+  stats->value_log_segments = segments_.size();
+  uint64_t live = 0;
+  uint64_t garbage = 0;
   for (const auto& [number, seg] : segments_) {
     (void)number;
-    c.live_bytes += seg.live;
-    c.garbage_bytes += seg.total >= seg.live ? seg.total - seg.live : 0;
+    live += seg.live;
+    garbage += seg.total >= seg.live ? seg.total - seg.live : 0;
   }
-  return c;
+  stats->value_log_live_bytes = live;
+  stats->value_log_garbage_bytes = garbage;
 }
 
 }  // namespace lsmio::lsm

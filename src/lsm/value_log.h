@@ -41,6 +41,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/synchronization.h"
+#include "lsm/db.h"
 #include "lsm/options.h"
 
 namespace lsmio::vfs {
@@ -69,16 +70,6 @@ struct BlobSegmentMeta {
   uint64_t number = 0;
   uint64_t total_bytes = 0;  // record bytes appended over the segment's life
   uint64_t live_bytes = 0;   // bytes still referenced by the newest LSM state
-};
-
-/// Counter snapshot for DbStats.
-struct ValueLogCounters {
-  uint64_t bytes_written = 0;        // user value bytes separated at write time
-  uint64_t gc_rewritten_bytes = 0;   // value bytes relocated by GC
-  uint64_t segments_deleted = 0;
-  uint64_t segments = 0;             // gauge: registered segments
-  uint64_t live_bytes = 0;           // gauge: sum of live record bytes
-  uint64_t garbage_bytes = 0;        // gauge: sum of (total - live)
 };
 
 /// One store's (or one shard's) blob segments: appender, reader with a
@@ -152,8 +143,9 @@ class ValueLog {
   /// number of files removed.
   int SweepDeletable() EXCLUDES(mu_);
 
-  /// Folds the counter snapshot into `out` (additive).
-  [[nodiscard]] ValueLogCounters Counters() const EXCLUDES(mu_);
+  /// Sets the value_log_* statistics other than
+  /// value_log_separated_batches, which the write path counts.
+  void FillStats(DbStats* stats) const EXCLUDES(mu_);
 
  private:
   struct SegmentState {

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/units.h"
@@ -219,6 +222,10 @@ TEST_F(ArbiterManagerTest, ForcedFlushOnColdStoreDoesNotBlockHotStore) {
   tight.write_budget_bytes = 4 * MiB;
   tight.flush_watermark = 0.5;
   tight.min_victim_bytes = 16 * KiB;
+  // No per-memtable cap below the budget: the cold store never flushes
+  // itself, and the hot store's memtable alone takes the aggregate over
+  // the watermark, however fast the hot store's own flushes run.
+  tight.max_memtable_bytes = tight.write_budget_bytes;
   MemoryArbiter arbiter(tight);
 
   LsmioOptions options;
@@ -245,6 +252,13 @@ TEST_F(ArbiterManagerTest, ForcedFlushOnColdStoreDoesNotBlockHotStore) {
     ASSERT_TRUE(hot->Put("h" + std::to_string(i), std::string(4096, 'h')).ok());
   }
 
+  // The cold store carries out the victim request on its own background
+  // pool. Let it, or the cold store's barrier below would flush the
+  // memtable first and leave the request nothing to switch.
+  for (int i = 0; i < 10000 && cold->engine_stats().arbiter_forced_flushes == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   // The arbiter picked at least one victim, and the cold store took at
   // least one forced flush (it is the coldest eligible attachment).
   EXPECT_GE(arbiter.flush_requests(), 1u);
@@ -268,6 +282,122 @@ TEST_F(ArbiterManagerTest, ForcedFlushOnColdStoreDoesNotBlockHotStore) {
   EXPECT_EQ(total_forced, arbiter.flush_requests());
 }
 
+// Vfs decorator that can pause a WAL append: after HoldNextWalAppend(), the
+// next append to a .log file blocks until Release(). A group-commit leader
+// appends its WAL record after admitting the group, with the DB mutex
+// released, so this parks a write group past its admission check.
+class HoldWalVfs final : public vfs::Vfs {
+ public:
+  explicit HoldWalVfs(vfs::Vfs& base) : base_(base) {}
+
+  void HoldNextWalAppend() { hold_.store(true); }
+  void WaitUntilHeld() const {
+    while (!held_.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  void Release() { hold_.store(false); }
+
+  Status NewWritableFile(const std::string& path, const vfs::OpenOptions& opts,
+                         std::unique_ptr<vfs::WritableFile>* file) override {
+    std::unique_ptr<vfs::WritableFile> inner;
+    LSMIO_RETURN_IF_ERROR(base_.NewWritableFile(path, opts, &inner));
+    const bool wal = path.size() > 4 && path.rfind(".log") == path.size() - 4;
+    *file = wal ? std::make_unique<Wal>(this, std::move(inner)) : std::move(inner);
+    return Status::OK();
+  }
+  Status NewRandomAccessFile(const std::string& path, const vfs::OpenOptions& opts,
+                             std::unique_ptr<vfs::RandomAccessFile>* file) override {
+    return base_.NewRandomAccessFile(path, opts, file);
+  }
+  Status NewSequentialFile(const std::string& path, const vfs::OpenOptions& opts,
+                           std::unique_ptr<vfs::SequentialFile>* file) override {
+    return base_.NewSequentialFile(path, opts, file);
+  }
+  Status OpenFileHandle(const std::string& path, bool create, const vfs::OpenOptions& opts,
+                        std::unique_ptr<vfs::FileHandle>* file) override {
+    return base_.OpenFileHandle(path, create, opts, file);
+  }
+  bool FileExists(const std::string& path) override { return base_.FileExists(path); }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return base_.GetFileSize(path, size);
+  }
+  Status RemoveFile(const std::string& path) override { return base_.RemoveFile(path); }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_.RenameFile(from, to);
+  }
+  Status CreateDir(const std::string& path) override { return base_.CreateDir(path); }
+  Status ListDir(const std::string& path, std::vector<std::string>* out) override {
+    return base_.ListDir(path, out);
+  }
+
+ private:
+  class Wal final : public vfs::WritableFile {
+   public:
+    Wal(HoldWalVfs* owner, std::unique_ptr<vfs::WritableFile> inner)
+        : owner_(owner), inner_(std::move(inner)) {}
+    Status Append(const Slice& data) override {
+      if (owner_->hold_.load()) {
+        owner_->held_.store(true);
+        while (owner_->hold_.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      return inner_->Append(data);
+    }
+    Status Flush() override { return inner_->Flush(); }
+    Status Sync() override { return inner_->Sync(); }
+    Status Close() override { return inner_->Close(); }
+    [[nodiscard]] uint64_t Size() const override { return inner_->Size(); }
+
+   private:
+    HoldWalVfs* owner_;
+    std::unique_ptr<vfs::WritableFile> inner_;
+  };
+
+  vfs::Vfs& base_;
+  std::atomic<bool> hold_{false};
+  std::atomic<bool> held_{false};
+};
+
+// A victim request can reach a store whose write group is already past the
+// admission check that honours such requests. With no writer queued behind
+// the group, the store must still switch its memtable once the group
+// completes, not sit on the memory the arbiter counts as being released.
+TEST_F(ArbiterManagerTest, VictimRequestDuringWriteGroupIsCarriedOut) {
+  MemoryArbiterOptions tight;
+  tight.write_budget_bytes = 4 * MiB;
+  tight.flush_watermark = 0.5;
+  tight.min_victim_bytes = 16 * KiB;
+  MemoryArbiter arbiter(tight);
+
+  HoldWalVfs fs(fs_);
+  LsmioOptions options;
+  options.vfs = &fs;
+  options.memory_arbiter = &arbiter;
+  options.disable_wal = false;
+  std::unique_ptr<Manager> store;
+  ASSERT_TRUE(Manager::Open(options, "/victim", &store).ok());
+  ASSERT_TRUE(store->Put("parked", std::string(64 * KiB, 'p')).ok());
+
+  fs.HoldNextWalAppend();
+  std::thread writer([&] { EXPECT_TRUE(store->Put("last", "v").ok()); });
+  fs.WaitUntilHeld();
+
+  // Another tenant takes the aggregate over the watermark; the store is the
+  // coldest eligible attachment, so it is picked first.
+  const uint64_t other = arbiter.Attach(arbiter.RegisterTenant("/other"), [] {});
+  arbiter.UpdateUsage(other, 3 * MiB, /*wrote=*/true);
+  EXPECT_EQ(arbiter.Residency(store->memory_tenant_id()).arbiter_forced_flushes, 1u);
+  // Let the store's background call find the write group in flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  fs.Release();
+  writer.join();
+
+  for (int i = 0; i < 10000 && store->engine_stats().arbiter_forced_flushes == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(store->engine_stats().arbiter_forced_flushes, 1u);
+  store.reset();
+  arbiter.Detach(other);
+}
+
 TEST_F(ArbiterManagerTest, PoolGaugesSurfaceThroughStats) {
   std::unique_ptr<Manager> manager;
   ASSERT_TRUE(Manager::Open(Options(), "/gauges", &manager).ok());
@@ -289,6 +419,16 @@ TEST_F(ArbiterManagerTest, ShardedStoreAttachesPerShard) {
     ASSERT_TRUE(manager->Put("k" + std::to_string(i), std::string(1024, 'v')).ok());
   }
   EXPECT_GT(arbiter_.Residency(tid).memtable_bytes, 0u);
+
+  // Every shard charges the shared cache to the one tenant, so the store's
+  // cache bytes are the tenant's charge, not four times it.
+  ASSERT_TRUE(manager->WriteBarrier(BarrierMode::kSync).ok());
+  std::string value;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(manager->Get("k" + std::to_string(i), &value).ok());
+  }
+  EXPECT_GT(arbiter_.Residency(tid).cache_bytes, 0u);
+  EXPECT_EQ(manager->engine_stats().tenant_cache_bytes, arbiter_.Residency(tid).cache_bytes);
   manager.reset();
   EXPECT_EQ(arbiter_.Residency(tid).attachments, 0);
   EXPECT_EQ(arbiter_.TotalUsage(), 0u);

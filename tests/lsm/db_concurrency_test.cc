@@ -12,7 +12,7 @@
 
 #include "common/units.h"
 #include "lsm/db.h"
-#include "testutil/faulty_vfs.h"
+#include "vfs/fault_vfs.h"
 #include "vfs/mem_vfs.h"
 
 namespace lsmio::lsm {
@@ -424,7 +424,7 @@ TEST_F(DbConcurrencyTest, MultiGetMatchesGetUnderConcurrency) {
 // (the request flag is cleared on every exit path).
 TEST_F(DbConcurrencyTest, FailedManualCompactionDoesNotWedge) {
   vfs::MemVfs mem;
-  testutil::FaultyVfs faulty(mem);
+  vfs::FaultVfs faulty(mem);
   Options options = BaseOptions();
   options.vfs = &faulty;
   options.disable_compaction = false;
@@ -436,7 +436,7 @@ TEST_F(DbConcurrencyTest, FailedManualCompactionDoesNotWedge) {
     ASSERT_TRUE(db_->FlushMemTable(/*wait=*/true).ok());
   }
 
-  faulty.Arm(1);  // the compaction's table write fails
+  faulty.Arm({.countdown = 1});  // the compaction's table write fails
   const Status first = db_->CompactRange();
   EXPECT_FALSE(first.ok());
   faulty.Disarm();

@@ -12,7 +12,6 @@
 #include "lsm/db.h"
 #include "lsm/table_cache.h"
 #include "lsm/version.h"
-#include "testutil/faulty_vfs.h"
 #include "vfs/fault_vfs.h"
 #include "vfs/mem_vfs.h"
 
@@ -31,7 +30,7 @@ class DbFaultTest : public ::testing::Test {
   }
 
   vfs::MemVfs mem_;
-  testutil::FaultyVfs faulty_;
+  vfs::FaultVfs faulty_;
 };
 
 TEST_F(DbFaultTest, WalWriteFailureSurfacesToCaller) {
@@ -40,10 +39,10 @@ TEST_F(DbFaultTest, WalWriteFailureSurfacesToCaller) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 
-  faulty_.Arm(1);  // next write-class op fails
+  faulty_.Arm({.countdown = 1});  // next write-class op fails
   Status s = db->Put({}, "k", "v");
   EXPECT_TRUE(s.IsIoError()) << s.ToString();
-  EXPECT_GE(faulty_.failures(), 1);
+  EXPECT_GE(faulty_.faults_injected(), 1);
   faulty_.Disarm();
 }
 
@@ -54,7 +53,7 @@ TEST_F(DbFaultTest, FlushFailureReportedByBarrier) {
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 
   ASSERT_TRUE(db->Put({}, "k", std::string(8 * KiB, 'v')).ok());
-  faulty_.Arm(1);
+  faulty_.Arm({.countdown = 1});
   // The flush happens in the background; the synchronous barrier must
   // observe and report the failure.
   Status s = db->FlushMemTable(true);
@@ -72,7 +71,7 @@ TEST_F(DbFaultTest, DataBeforeFaultSurvivesReopen) {
     ASSERT_TRUE(db->FlushMemTable(true).ok());  // durable before the fault
 
     ASSERT_TRUE(db->Put({}, "doomed", "maybe").ok());
-    faulty_.Arm(1);
+    faulty_.Arm({.countdown = 1});
     db->FlushMemTable(true).IgnoreError();  // fails mid-flush, by design
     faulty_.Disarm();
   }
@@ -93,7 +92,7 @@ TEST_F(DbFaultTest, LateFaultsDoNotAffectReads) {
   }
   ASSERT_TRUE(db->FlushMemTable(true).ok());
 
-  faulty_.Arm(1);  // all further writes fail...
+  faulty_.Arm({.countdown = 1});  // all further writes fail...
   std::string value;
   for (int i = 0; i < 20; ++i) {
     // ...but reads never touch the write path.
@@ -103,7 +102,7 @@ TEST_F(DbFaultTest, LateFaultsDoNotAffectReads) {
 }
 
 TEST_F(DbFaultTest, OpenFailsCleanlyWhenManifestWriteFails) {
-  faulty_.Arm(1);
+  faulty_.Arm({.countdown = 1});
   Options options = MakeOptions();
   std::unique_ptr<DB> db;
   const Status s = DB::Open(options, "/fresh", &db);

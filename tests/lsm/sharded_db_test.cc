@@ -5,6 +5,7 @@
 // transitive-L0-expansion correctness property of CompactRange.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,6 +18,54 @@
 
 namespace lsmio::lsm {
 namespace {
+
+void Fill(uint64_t* stat, uint64_t value) { *stat = value; }
+void Fill(Histogram* stat, uint64_t value) {
+  for (uint64_t i = 0; i < value; ++i) stat->Add(static_cast<double>(i));
+}
+
+// Checks `merged`, the fold of `b` into `a`, against the rule of kind K.
+template <StatKind K>
+void ExpectMerged(const char* name, const StatValue<K>& a, const StatValue<K>& b,
+                  const StatValue<K>& merged) {
+  if constexpr (K == StatKind::kHistogram) {
+    EXPECT_EQ(merged.count(), a.count() + b.count()) << name;
+  } else if constexpr (K == StatKind::kCounter || K == StatKind::kGaugeSum) {
+    EXPECT_EQ(merged, a + b) << name;
+  } else {
+    EXPECT_EQ(merged, std::max(a, b)) << name;
+  }
+}
+
+void ExpectSame(const char* name, uint64_t want, uint64_t got) { EXPECT_EQ(got, want) << name; }
+void ExpectSame(const char* name, const Histogram& want, const Histogram& got) {
+  EXPECT_EQ(got.ToString(), want.ToString()) << name;
+}
+
+// Every row of the stats table gets distinct values, so a new statistic is
+// covered without editing the test. Folding both ways round catches a merge
+// that keeps either side instead of the max.
+TEST(DbStatsTest, MergeFoldsEachStatisticByItsKind) {
+  DbStats a;
+  DbStats b;
+  uint64_t row = 0;
+#define LSMIO_FILL(name, kind, help) \
+  ++row;                             \
+  Fill(&a.name, 2 * row);            \
+  Fill(&b.name, 2 * row + 1);
+  LSMIO_DB_STATS(LSMIO_FILL)
+#undef LSMIO_FILL
+
+  DbStats ab = a;
+  ab.Merge(b);
+  DbStats ba = b;
+  ba.Merge(a);
+#define LSMIO_EXPECT_MERGED(name, kind, help)                    \
+  ExpectMerged<StatKind::kind>(#name, a.name, b.name, ab.name); \
+  ExpectMerged<StatKind::kind>(#name, b.name, a.name, ba.name);
+  LSMIO_DB_STATS(LSMIO_EXPECT_MERGED)
+#undef LSMIO_EXPECT_MERGED
+}
 
 class ShardedDbTest : public ::testing::Test {
  protected:
@@ -213,18 +262,15 @@ TEST_F(ShardedDbTest, StatsAggregateAcrossShards) {
   EXPECT_EQ(total.gets, 100u);
   EXPECT_GE(total.memtable_flushes, 1u);
 
-  // The aggregate counters are exactly the per-shard sums.
+  // Every statistic of the aggregate is the Merge fold of the shards'.
   std::vector<DbStats> per_shard;
   db_->GetShardStats(&per_shard);
   ASSERT_EQ(per_shard.size(), 4u);
-  uint64_t puts = 0;
-  uint64_t flushes = 0;
-  for (const DbStats& s : per_shard) {
-    puts += s.puts;
-    flushes += s.memtable_flushes;
-  }
-  EXPECT_EQ(total.puts, puts);
-  EXPECT_EQ(total.memtable_flushes, flushes);
+  DbStats folded;
+  for (const DbStats& s : per_shard) folded.Merge(s);
+#define LSMIO_EXPECT_SAME(name, kind, help) ExpectSame(#name, folded.name, total.name);
+  LSMIO_DB_STATS(LSMIO_EXPECT_SAME)
+#undef LSMIO_EXPECT_SAME
 }
 
 TEST_F(ShardedDbTest, CompactRangeCompactsEveryShard) {
