@@ -5,7 +5,9 @@ Compares the tiny-config smoke outputs (bench_results/*_smoke.json, written
 by `ci/check.sh --leg bench` / `--leg tail-latency`) against the committed
 baselines in bench_results/baseline/ and flags any metric that regressed by
 more than the threshold (default 15%): throughput-like metrics must not
-drop, latency-like metrics (p99 etc.) must not rise.
+drop, latency-like metrics (p99 etc.) must not rise. A metric the current
+run reports but the baseline lacks (a new benchmark) is listed as NEW: it
+is not gated until the baseline gains a row for it.
 
 CI runners have noisy, heterogeneous performance, so the default outcome of
 a regression is a GitHub `::warning::` annotation with exit 0 — visible on
@@ -80,6 +82,7 @@ def compare(baseline_dir, current_dir, threshold, strict):
     regressions = []
     compared = 0
     missing = []
+    new = []
     for name in SMOKE_FILES:
         current_path = os.path.join(current_dir, name)
         baseline_path = os.path.join(baseline_dir, name)
@@ -91,6 +94,7 @@ def compare(baseline_dir, current_dir, threshold, strict):
             continue
         base = load_metrics(baseline_path)
         cur = load_metrics(current_path)
+        new.extend(sorted(set(cur) - set(base)))
         for metric, (base_value, direction) in sorted(base.items()):
             if metric not in cur:
                 missing.append(f"{metric} (present in baseline, absent now)")
@@ -112,6 +116,9 @@ def compare(baseline_dir, current_dir, threshold, strict):
 
     for m in missing:
         print(f"bench-compare: SKIP {m}")
+    for m in new:
+        print(f"bench-compare: NEW {m} (no baseline row; not gated)")
+        annotate("notice", "bench metric without baseline", m)
     print(f"bench-compare: {compared} metrics compared, "
           f"{len(regressions)} regressed beyond {threshold * 100:.0f}%")
     for r in regressions:

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 
+#include "common/inline_vector.h"
 #include "common/logging.h"
 #include "lsm/builder.h"
 #include "lsm/cache.h"
@@ -24,6 +25,10 @@ namespace {
 constexpr int kBloomBitsPerKey = 10;
 // Capacity of the block cache a DB owns when Options::block_cache is null.
 constexpr uint64_t kBlockCacheCapacity = 8 * MiB;
+// Readahead window for compaction input reads: each input table iterator
+// hints this many bytes ahead to the VFS (posix_fadvise plus the prefetch
+// buffer on PosixVfs).
+constexpr uint64_t kCompactionReadaheadBytes = 1 * MiB;
 
 }  // namespace
 
@@ -593,14 +598,6 @@ WriteBatch* DBImpl::SeparateLargeValues(WriteBatch* batch, Status* s) {
   return &tmp_vlog_batch_;
 }
 
-Status DBImpl::ResolvePointerValue(std::string* value) const {
-  ValuePointer ptr;
-  if (vlog_ == nullptr || !DecodeValuePointer(Slice(*value), &ptr)) {
-    return Status::Corruption("unresolvable value-log pointer");
-  }
-  return vlog_->ReadValue(ptr, value);
-}
-
 void DBImpl::RefreshWritePressure() {
   write_controller_.UpdatePressure(versions_->current()->NumFiles(0),
                                    static_cast<int>(imm_queue_.size()));
@@ -644,7 +641,6 @@ void DBImpl::ArbiterFlushCall() {
       // Idle store — the common victim (cold tenants have no writers in
       // flight). An empty writer queue under mu_ gives this thread the
       // same mem_/log_ exclusivity a group-commit leader has.
-      arbiter_switch_requested_.store(false, std::memory_order_release);
       ++stats_.arbiter_forced_flushes;
       const Status s = SwitchMemTable();
       if (!s.ok()) RecordBackgroundError(s);
@@ -745,10 +741,7 @@ Status DBImpl::MakeRoomForWrite(uint64_t batch_bytes) {
       StallWait(kStallL0);
       continue;
     }
-    if (arbiter_switch) {
-      arbiter_switch_requested_.store(false, std::memory_order_release);
-      ++stats_.arbiter_forced_flushes;
-    }
+    if (arbiter_switch) ++stats_.arbiter_forced_flushes;
     LSMIO_RETURN_IF_ERROR(SwitchMemTable());
   }
 }
@@ -785,6 +778,10 @@ Status DBImpl::SwitchMemTable() {
   imm_log_queue_.push_back(logfile_number_);
   mem_ = new MemTable(internal_comparator_);
   mem_->Ref();
+  // Whatever asked for this switch, it serves a pending arbiter request:
+  // the memory the pick counted is now headed for a flush. A request left
+  // set would force the next write group to switch a near-empty memtable.
+  arbiter_switch_requested_.store(false, std::memory_order_release);
   MaybeScheduleFlush();
   RefreshWritePressure();
   return Status::OK();
@@ -1224,7 +1221,7 @@ Status DBImpl::CompactFiles(int level,
   std::vector<Iterator*> children;
   ReadOptions read_options;
   read_options.fill_cache = false;
-  read_options.readahead_bytes = options_.compaction_readahead_bytes;
+  read_options.readahead_bytes = kCompactionReadaheadBytes;
   for (const auto& f : level_inputs) {
     children.push_back(table_cache_->NewIterator(read_options, f.number, f.file_size));
   }
@@ -1446,54 +1443,108 @@ SequenceNumber DBImpl::SmallestSnapshot() const {
   return smallest;
 }
 
-Status DBImpl::Get(const ReadOptions& options, const Slice& key, std::string* value) {
-  const uint64_t op_start_micros = clock_->NowMicros();
-  MemTable* mem;
-  std::vector<MemTable*> imms;  // newest first
-  std::shared_ptr<Version> current;
-  SequenceNumber sequence;
-  {
-    MutexLock lock(&mu_);
-    sequence = options.snapshot_sequence != 0 ? options.snapshot_sequence
-                                              : versions_->LastSequence();
-    mem = mem_;
-    mem->Ref();
-    imms.reserve(imm_queue_.size());
-    for (auto it = imm_queue_.rbegin(); it != imm_queue_.rend(); ++it) {
-      (*it)->Ref();
-      imms.push_back(*it);
+void DBImpl::PinReadView(const ReadOptions& options, ReadView* view) {
+  view->sequence = options.snapshot_sequence != 0 ? options.snapshot_sequence
+                                                  : versions_->LastSequence();
+  view->mem = mem_;
+  view->mem->Ref();
+  view->imms.reserve(imm_queue_.size());
+  for (auto it = imm_queue_.rbegin(); it != imm_queue_.rend(); ++it) {
+    (*it)->Ref();
+    view->imms.push_back(*it);
+  }
+  view->current = versions_->current();
+}
+
+Status DBImpl::Lookup(const ReadOptions& options, const ReadView& view,
+                      std::span<Version::GetRequest*> reqs) const {
+  bool pending = false;
+  for (Version::GetRequest* req : reqs) {
+    req->done = view.mem->Get(*req->lkey, req->value, req->status, &req->is_pointer);
+    for (auto it = view.imms.begin(); !req->done && it != view.imms.end(); ++it) {
+      req->done = (*it)->Get(*req->lkey, req->value, req->status, &req->is_pointer);
     }
-    current = versions_->current();
-    ++stats_.gets;
+    pending = pending || !req->done;
   }
 
-  const LookupKey lkey(key, sequence);
-  Status s;
-  bool found = false;
-  bool is_pointer = false;
-  if (mem->Get(lkey, value, &s, &is_pointer)) {
-    found = true;
-  } else {
-    for (MemTable* imm : imms) {
-      if (imm->Get(lkey, value, &s, &is_pointer)) {
-        found = true;
-        break;
+  // The rest walk the levels in user-key order. A key the walk does not
+  // resolve is a miss, or carries the walk's failure.
+  Status walk;
+  if (pending) {
+    const Comparator* ucmp = internal_comparator_.user_comparator();
+    std::sort(reqs.begin(), reqs.end(),
+              [ucmp](const Version::GetRequest* a, const Version::GetRequest* b) {
+                return ucmp->Compare(a->lkey->user_key(), b->lkey->user_key()) < 0;
+              });
+    walk = view.current->MultiGet(options, table_cache_.get(), reqs);
+    for (Version::GetRequest* req : reqs) {
+      if (!req->done) {
+        *req->status = walk.ok() ? Status::NotFound("key not present") : walk;
       }
     }
   }
-  if (!found) {
-    s = current->Get(options, table_cache_.get(), lkey, value, &is_pointer);
-    found = s.ok();
-  }
-  // Resolve a separated value through the blob segments (outside mu_; the
-  // pinned Version guards the segment against GC deletion).
-  if (found && s.ok() && is_pointer) s = ResolvePointerValue(value);
 
+  // Resolve separated values (outside mu_; the pinned Version guards the
+  // segments against GC deletion). Pointers are read in (segment, offset)
+  // order, and each same-segment run of two or more is hinted to the VFS
+  // first, so a batch that hits one segment turns into one readahead
+  // window; a lone pointer reads exactly its record and needs no hint.
+  struct Resolve {
+    Version::GetRequest* req;
+    ValuePointer ptr;
+  };
+  InlineVector<Resolve, 4> resolves;
+  for (Version::GetRequest* req : reqs) {
+    if (!req->is_pointer || !req->status->ok()) continue;
+    ValuePointer ptr;
+    if (vlog_ == nullptr || !DecodeValuePointer(Slice(*req->value), &ptr)) {
+      *req->status = Status::Corruption("unresolvable value-log pointer");
+      continue;
+    }
+    resolves.push_back(Resolve{req, ptr});
+  }
+  std::sort(resolves.begin(), resolves.end(), [](const Resolve& a, const Resolve& b) {
+    if (a.ptr.segment != b.ptr.segment) return a.ptr.segment < b.ptr.segment;
+    return a.ptr.offset < b.ptr.offset;
+  });
+  for (size_t run = 0; run < resolves.size();) {
+    size_t end = run + 1;
+    uint64_t span_end = resolves[run].ptr.offset + resolves[run].ptr.length;
+    while (end < resolves.size() &&
+           resolves[end].ptr.segment == resolves[run].ptr.segment) {
+      span_end = std::max(span_end, resolves[end].ptr.offset + resolves[end].ptr.length);
+      ++end;
+    }
+    if (end - run > 1) {
+      vlog_->Hint(resolves[run].ptr, span_end - resolves[run].ptr.offset);
+    }
+    run = end;
+  }
+  for (const Resolve& r : resolves) {
+    *r.req->status = vlog_->ReadValue(r.ptr, r.req->value);
+  }
+  return walk;
+}
+
+Status DBImpl::Get(const ReadOptions& options, const Slice& key, std::string* value) {
+  const uint64_t op_start_micros = clock_->NowMicros();
+  ReadView view;
   {
     MutexLock lock(&mu_);
-    if (found && s.ok()) ++stats_.get_hits;
-    mem->Unref();
-    for (MemTable* imm : imms) imm->Unref();
+    PinReadView(options, &view);
+    ++stats_.gets;
+  }
+
+  const LookupKey lkey(key, view.sequence);
+  Status s;
+  Version::GetRequest req{.lkey = &lkey, .value = value, .status = &s};
+  Version::GetRequest* reqs[] = {&req};
+  // A lone request carries the walk's failure itself.
+  Lookup(options, view, reqs).IgnoreError();
+
+  if (s.ok()) {
+    MutexLock lock(&mu_);
+    ++stats_.get_hits;
   }
   get_latency_rec_.Record(clock_->NowMicros() - op_start_micros);
   return s;
@@ -1505,28 +1556,13 @@ Status DBImpl::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
   const uint64_t op_start_micros = clock_->NowMicros();
   const size_t n = keys.size();
   values->assign(n, {});
-  // Preset OK (a no-allocation status); misses are stamped NotFound below.
   statuses->assign(n, Status());
   if (n == 0) return Status::OK();
 
-  // One mutex acquisition pins the whole batch's read view: sequence,
-  // memtable + immutables, and the current file layout.
-  MemTable* mem;
-  std::vector<MemTable*> imms;  // newest first
-  std::shared_ptr<Version> current;
-  SequenceNumber sequence;
+  ReadView view;
   {
     MutexLock lock(&mu_);
-    sequence = options.snapshot_sequence != 0 ? options.snapshot_sequence
-                                              : versions_->LastSequence();
-    mem = mem_;
-    mem->Ref();
-    imms.reserve(imm_queue_.size());
-    for (auto it = imm_queue_.rbegin(); it != imm_queue_.rend(); ++it) {
-      (*it)->Ref();
-      imms.push_back(*it);
-    }
-    current = versions_->current();
+    PinReadView(options, &view);
     ++stats_.multiget_batches;
     stats_.multiget_keys += n;
   }
@@ -1535,145 +1571,47 @@ Status DBImpl::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
   // point at them.
   std::deque<LookupKey> lkeys;
   std::vector<Version::GetRequest> reqs(n);
-  std::vector<Version::GetRequest*> pending;
-  pending.reserve(n);
-  std::vector<char> pointer_hits(n, 0);  // memtable hits that were pointers
+  std::vector<Version::GetRequest*> ptrs(n);
   for (size_t i = 0; i < n; ++i) {
-    lkeys.emplace_back(keys[i], sequence);
-    const LookupKey& lkey = lkeys.back();
-    Status s;
-    std::string* value = &(*values)[i];
-    bool resolved = false;
-    bool is_pointer = false;
-    if (mem->Get(lkey, value, &s, &is_pointer)) {
-      resolved = true;
-    } else {
-      for (MemTable* imm : imms) {
-        if (imm->Get(lkey, value, &s, &is_pointer)) {
-          resolved = true;
-          break;
-        }
-      }
-    }
-    if (resolved) {
-      (*statuses)[i] = s;
-      pointer_hits[i] = is_pointer ? 1 : 0;
-    } else {
-      reqs[i].lkey = &lkey;
-      reqs[i].value = value;
-      reqs[i].status = &(*statuses)[i];
-      pending.push_back(&reqs[i]);
-    }
+    reqs[i].lkey = &lkeys.emplace_back(keys[i], view.sequence);
+    reqs[i].value = &(*values)[i];
+    reqs[i].status = &(*statuses)[i];
+    ptrs[i] = &reqs[i];
   }
-
-  Status batch_status;
-  if (!pending.empty()) {
-    const Comparator* ucmp = internal_comparator_.user_comparator();
-    std::stable_sort(pending.begin(), pending.end(),
-                     [ucmp](const Version::GetRequest* a,
-                            const Version::GetRequest* b) {
-                       return ucmp->Compare(a->lkey->user_key(),
-                                            b->lkey->user_key()) < 0;
-                     });
-    batch_status = current->MultiGet(options, table_cache_.get(), pending);
-    // Keys the level walk never resolved are misses — or report the batch
-    // failure when the walk itself broke.
-    for (Version::GetRequest* req : pending) {
-      if (!req->done) {
-        *req->status = batch_status.ok() ? Status::NotFound("key not present")
-                                         : batch_status;
-      }
-    }
-  }
-
-  // Resolve separated values: sort the pointers by (segment, offset) and
-  // hint each contiguous same-segment run to the VFS before reading, so a
-  // batch that hits one segment turns into one readahead window.
-  struct Resolve {
-    size_t index;
-    ValuePointer ptr;
-  };
-  std::vector<Resolve> resolves;
-  for (size_t i = 0; i < n; ++i) {
-    if (!(pointer_hits[i] != 0 || reqs[i].is_pointer)) continue;
-    if (!(*statuses)[i].ok()) continue;
-    ValuePointer ptr;
-    if (vlog_ == nullptr || !DecodeValuePointer(Slice((*values)[i]), &ptr)) {
-      (*statuses)[i] = Status::Corruption("unresolvable value-log pointer");
-      continue;
-    }
-    resolves.push_back(Resolve{i, ptr});
-  }
-  if (!resolves.empty()) {
-    std::sort(resolves.begin(), resolves.end(),
-              [](const Resolve& a, const Resolve& b) {
-                if (a.ptr.segment != b.ptr.segment) {
-                  return a.ptr.segment < b.ptr.segment;
-                }
-                return a.ptr.offset < b.ptr.offset;
-              });
-    for (size_t run = 0; run < resolves.size();) {
-      size_t end = run + 1;
-      uint64_t span_end = resolves[run].ptr.offset + resolves[run].ptr.length;
-      while (end < resolves.size() &&
-             resolves[end].ptr.segment == resolves[run].ptr.segment) {
-        span_end =
-            std::max(span_end, resolves[end].ptr.offset + resolves[end].ptr.length);
-        ++end;
-      }
-      vlog_->Hint(resolves[run].ptr, span_end - resolves[run].ptr.offset);
-      run = end;
-    }
-    for (const Resolve& r : resolves) {
-      (*statuses)[r.index] = vlog_->ReadValue(r.ptr, &(*values)[r.index]);
-    }
-  }
+  const Status batch_status = Lookup(options, view, ptrs);
 
   {
     MutexLock lock(&mu_);
     for (const Status& s : *statuses) {
       if (s.ok()) ++stats_.get_hits;
     }
-    mem->Unref();
-    for (MemTable* imm : imms) imm->Unref();
   }
   multiget_latency_rec_.Record(clock_->NowMicros() - op_start_micros);
   return batch_status;
 }
 
 Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
-                                      SequenceNumber* latest_snapshot) {
-  MutexLock lock(&mu_);
-  *latest_snapshot = versions_->LastSequence();
+                                      SequenceNumber* sequence) {
+  auto view = std::make_shared<ReadView>();
+  {
+    MutexLock lock(&mu_);
+    PinReadView(options, view.get());
+  }
+  *sequence = view->sequence;
 
   std::vector<Iterator*> iters;
-  iters.push_back(mem_->NewIterator());
-  mem_->Ref();
-  MemTable* mem = mem_;
-  std::vector<MemTable*> imms;  // newest first
-  for (auto it = imm_queue_.rbegin(); it != imm_queue_.rend(); ++it) {
-    iters.push_back((*it)->NewIterator());
-    (*it)->Ref();
-    imms.push_back(*it);
-  }
-  auto current = versions_->current();
-  current->AddIterators(options, table_cache_.get(), &iters);
-
+  iters.push_back(view->mem->NewIterator());
+  for (MemTable* imm : view->imms) iters.push_back(imm->NewIterator());
+  view->current->AddIterators(options, table_cache_.get(), &iters);
   Iterator* merged = NewMergingIterator(&internal_comparator_, iters.data(),
                                         static_cast<int>(iters.size()));
-  merged->RegisterCleanup([mem, imms = std::move(imms), current]() mutable {
-    mem->Unref();
-    for (MemTable* imm : imms) imm->Unref();
-    current.reset();
-  });
+  merged->RegisterCleanup([view = std::move(view)]() mutable { view.reset(); });
   return merged;
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  SequenceNumber latest_snapshot;
-  Iterator* internal_iter = NewInternalIterator(options, &latest_snapshot);
-  const SequenceNumber sequence =
-      options.snapshot_sequence != 0 ? options.snapshot_sequence : latest_snapshot;
+  SequenceNumber sequence;
+  Iterator* internal_iter = NewInternalIterator(options, &sequence);
   return NewDBIterator(internal_comparator_.user_comparator(), internal_iter,
                        sequence, vlog_.get());
 }

@@ -16,6 +16,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/rate_limiter.h"
 #include "common/synchronization.h"
@@ -98,9 +99,6 @@ class DBImpl final : public DB {
   /// tmp_vlog_batch_ carrying the same sequence and op count/order (the
   /// per-writer sequence stamping stays valid).
   WriteBatch* SeparateLargeValues(WriteBatch* batch, Status* s);
-  /// Replaces *value (an encoded ValuePointer) with the blob record's
-  /// value bytes, checksum-verified.
-  Status ResolvePointerValue(std::string* value) const;
   /// Admission control for the write path, called by the group-commit
   /// leader with `batch_bytes` = the caller's batch payload. Switches/
   /// queues memtables, hard-stalls on a full immutable queue or an L0 at
@@ -182,8 +180,38 @@ class DBImpl final : public DB {
                       int output_level) EXCLUDES(mu_);
   void RemoveObsoleteFiles() REQUIRES(mu_);
 
+  /// What a read works against: the sequence it reads at, and the
+  /// memtable, immutables and Version it reads, each pinned so that a
+  /// concurrent switch, flush or install cannot free them. The memtable
+  /// pins drop with the view.
+  struct ReadView {
+    ReadView() = default;
+    ReadView(const ReadView&) = delete;
+    ReadView& operator=(const ReadView&) = delete;
+    ~ReadView() {
+      if (mem != nullptr) mem->Unref();
+      for (MemTable* imm : imms) imm->Unref();
+    }
+
+    SequenceNumber sequence = 0;
+    MemTable* mem = nullptr;
+    std::vector<MemTable*> imms;  // newest first
+    std::shared_ptr<Version> current;
+  };
+  /// Pins the current read view into the empty *view, at
+  /// options.snapshot_sequence or, when that is 0, the latest sequence.
+  void PinReadView(const ReadOptions& options, ReadView* view) REQUIRES(mu_);
+  /// The one lookup path, for Get (one request) and MultiGet: answers each
+  /// request from `view` newest first — memtable, immutables, then the
+  /// Version's level walk — and resolves separated values through the
+  /// value log. Reorders `reqs`. Returns the level walk's failure, which
+  /// the requests the walk left unanswered carry as their status.
+  Status Lookup(const ReadOptions& options, const ReadView& view,
+                std::span<Version::GetRequest*> reqs) const EXCLUDES(mu_);
+  /// Iterator over the internal keys of a pinned view; *sequence receives
+  /// the view's sequence.
   Iterator* NewInternalIterator(const ReadOptions& options,
-                                SequenceNumber* latest_snapshot) EXCLUDES(mu_);
+                                SequenceNumber* sequence) EXCLUDES(mu_);
   SequenceNumber SmallestSnapshot() const REQUIRES(mu_);
 
   // --- immutable after construction (unguarded: set by Open/Initialize
@@ -272,8 +300,9 @@ class DBImpl final : public DB {
   /// Pool attachment id; 0 = not attached. unguarded: set once in
   /// Initialize before concurrent access, cleared only by the destructor.
   uint64_t pool_attachment_ = 0;
-  /// Set by the pool's victim callback; consumed by the group-commit
-  /// leader in MakeRoomForWrite or by ArbiterFlushCall on idle stores.
+  /// Set by the pool's victim callback; honoured by the group-commit
+  /// leader in MakeRoomForWrite or by ArbiterFlushCall on idle stores, and
+  /// cleared by every SwitchMemTable, whatever its cause.
   std::atomic<bool> arbiter_switch_requested_{false};
   /// True while an ArbiterFlushCall is queued/running on bg_pool_; the
   /// destructor waits it out (cleared under mu_, signalled via bg_cv_).

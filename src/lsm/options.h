@@ -121,17 +121,6 @@ struct Options {
   /// Target file size for compaction outputs.
   uint64_t target_file_size = 8 * MiB;
 
-  /// Keep every open table's index and filter blocks pinned (cache handle
-  /// retained for the table's lifetime) instead of re-fetching them through
-  /// the block cache on each probe. Off = per-probe cache round trips, kept
-  /// as an ablation knob. Ignored (always pinned) when disable_cache.
-  bool pin_index_and_filter = true;
-
-  /// Readahead window for compaction input reads: each input table iterator
-  /// hints this many bytes ahead to the VFS (posix_fadvise + prefetch
-  /// buffer on PosixVfs). 0 disables.
-  uint64_t compaction_readahead_bytes = 1 * MiB;
-
   /// Number of background threads shared by flush and compaction work.
   /// Flushes and compactions are scheduled independently, so with >= 2
   /// threads a long compaction never delays a memtable flush. The paper

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <vector>
 
 #include "common/coding.h"
+#include "common/inline_vector.h"
 #include "lsm/block.h"
 #include "lsm/comparator.h"
 #include "lsm/dbformat.h"
@@ -29,13 +29,6 @@ void DeleteCachedFilterData(const Slice&, void* value) {
   delete static_cast<std::string*>(value);
 }
 
-/// A resolved data block plus how to let go of it.
-struct BlockGuard {
-  Block* block = nullptr;
-  Cache::Handle* cache_handle = nullptr;  // release when non-null
-  bool owned = false;                     // delete when true
-};
-
 }  // namespace
 
 struct Table::Rep {
@@ -48,21 +41,16 @@ struct Table::Rep {
   ReadCounters* counters = nullptr;
 
   BlockHandle metaindex_handle;
-  BlockHandle index_handle;
-  BlockHandle filter_handle;
-  bool has_filter = false;
 
-  /// Pinned state (Options::pin_index_and_filter, or no block cache): the
-  /// index/filter are resolved once at Open and stay valid for the table's
-  /// lifetime — either table-owned or pinned in the cache via a retained
-  /// handle. When unpinned, these stay null and every probe round-trips
-  /// through the block cache.
+  /// Index and filter, resolved once at Open and valid for the table's
+  /// lifetime: pinned in the block cache through the retained handles when
+  /// the cache is in use, table-owned otherwise.
+  Block* index = nullptr;
   std::unique_ptr<Block> owned_index;
-  Cache::Handle* pinned_index_handle = nullptr;
-  Block* pinned_index = nullptr;
+  Cache::Handle* index_handle = nullptr;
 
   std::unique_ptr<std::string> owned_filter_data;
-  Cache::Handle* pinned_filter_handle = nullptr;
+  Cache::Handle* filter_handle = nullptr;
   std::unique_ptr<FilterBlockReader> filter;  // over the pinned filter bytes
 
   /// End of the last readahead window hinted to the VFS; avoids re-hinting
@@ -78,6 +66,16 @@ struct Table::Rep {
     EncodeFixed64(out + 8, offset);
   }
 
+  /// Inserts the block at `offset` into the cache, charged to the tenant;
+  /// returns the pinned handle, which the caller releases.
+  Cache::Handle* Insert(uint64_t offset, void* value, size_t charge,
+                        void (*deleter)(const Slice&, void*)) const {
+    char key[16];
+    CacheKey(offset, key);
+    return block_cache->Insert(Slice(key, sizeof key), value, charge, deleter,
+                               options.tenant_id);
+  }
+
   void CountCacheHit() const {
     if (counters) counters->block_cache_hits.fetch_add(1, std::memory_order_relaxed);
   }
@@ -89,12 +87,12 @@ struct Table::Rep {
 Table::Table(std::unique_ptr<Rep> rep) : rep_(std::move(rep)) {}
 
 Table::~Table() {
-  if (rep_->pinned_index_handle != nullptr) {
-    rep_->block_cache->Release(rep_->pinned_index_handle);
+  if (rep_->index_handle != nullptr) {
+    rep_->block_cache->Release(rep_->index_handle);
   }
-  if (rep_->pinned_filter_handle != nullptr) {
+  if (rep_->filter_handle != nullptr) {
     rep_->filter.reset();  // reader points into the cached bytes
-    rep_->block_cache->Release(rep_->pinned_filter_handle);
+    rep_->block_cache->Release(rep_->filter_handle);
   }
 }
 
@@ -136,45 +134,24 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   rep->file = file;
   rep->counters = counters;
   rep->metaindex_handle = footer.metaindex_handle();
-  rep->index_handle = footer.index_handle();
 
-  // Without a cache there is nowhere to round-trip through, so the index is
-  // effectively always pinned (table-owned).
-  const bool pin = options.pin_index_and_filter || !rep->use_cache();
-  auto index_block = std::make_unique<Block>(std::move(index_contents));
-  if (pin) {
-    if (rep->use_cache()) {
-      char key[16];
-      rep->CacheKey(rep->index_handle.offset(), key);
-      Block* raw = index_block.release();
-      rep->pinned_index_handle =
-          rep->block_cache->Insert(Slice(key, sizeof key), raw, raw->size(),
-                                   DeleteCachedBlock, rep->options.tenant_id);
-      rep->pinned_index = raw;
-    } else {
-      rep->pinned_index = index_block.get();
-      rep->owned_index = std::move(index_block);
-    }
+  auto index = std::make_unique<Block>(std::move(index_contents));
+  rep->index = index.get();
+  if (rep->use_cache()) {
+    rep->index_handle = rep->Insert(footer.index_handle().offset(), index.release(),
+                                    rep->index->size(), DeleteCachedBlock);
   } else {
-    // Unpinned: leave the freshly read index warm in the cache; probes will
-    // look it up (and re-read on eviction).
-    char key[16];
-    rep->CacheKey(rep->index_handle.offset(), key);
-    Block* raw = index_block.release();
-    Cache::Handle* h =
-        rep->block_cache->Insert(Slice(key, sizeof key), raw, raw->size(),
-                                 DeleteCachedBlock, rep->options.tenant_id);
-    rep->block_cache->Release(h);
+    rep->owned_index = std::move(index);
   }
 
   auto* t = new Table(std::move(rep));
   // Best-effort: reads work without a filter, just with more block probes.
-  t->ReadMeta(footer).IgnoreError();
+  t->ReadFilter(footer).IgnoreError();
   table->reset(t);
   return Status::OK();
 }
 
-Status Table::ReadMeta(const Footer& footer) {
+Status Table::ReadFilter(const Footer& footer) {
   Rep* r = rep_.get();
   if (r->filter_policy == nullptr) return Status::OK();
 
@@ -193,103 +170,28 @@ Status Table::ReadMeta(const Footer& footer) {
   Slice v = iter->value();
   BlockHandle filter_handle;
   LSMIO_RETURN_IF_ERROR(filter_handle.DecodeFrom(&v));
-  r->filter_handle = filter_handle;
-
   auto filter_data = std::make_unique<std::string>();
   LSMIO_RETURN_IF_ERROR(
       ReadBlockContents(r->file, opt, false, filter_handle, filter_data.get()));
-  r->has_filter = true;
 
-  const bool pin = r->options.pin_index_and_filter || !r->use_cache();
-  if (pin) {
-    std::string* raw = filter_data.release();
-    if (r->use_cache()) {
-      char ckey[16];
-      r->CacheKey(filter_handle.offset(), ckey);
-      r->pinned_filter_handle = r->block_cache->Insert(
-          Slice(ckey, sizeof ckey), raw, raw->size(), DeleteCachedFilterData,
-          r->options.tenant_id);
-    } else {
-      r->owned_filter_data.reset(raw);
-    }
-    r->filter = std::make_unique<FilterBlockReader>(r->filter_policy, Slice(*raw));
+  const Slice contents(*filter_data);
+  if (r->use_cache()) {
+    r->filter_handle = r->Insert(filter_handle.offset(), filter_data.release(),
+                                 contents.size(), DeleteCachedFilterData);
   } else {
-    char ckey[16];
-    r->CacheKey(filter_handle.offset(), ckey);
-    std::string* raw = filter_data.release();
-    Cache::Handle* h = r->block_cache->Insert(
-        Slice(ckey, sizeof ckey), raw, raw->size(), DeleteCachedFilterData,
-        r->options.tenant_id);
-    r->block_cache->Release(h);
+    r->owned_filter_data = std::move(filter_data);
   }
-  return Status::OK();
-}
-
-Status Table::IndexBlock(Block** block, Cache::Handle** cache_handle) const {
-  Rep* r = rep_.get();
-  *cache_handle = nullptr;
-  if (r->pinned_index != nullptr) {
-    *block = r->pinned_index;
-    return Status::OK();
-  }
-  // Unpinned mode: round-trip through the block cache on every probe.
-  char key[16];
-  r->CacheKey(r->index_handle.offset(), key);
-  const Slice ckey(key, sizeof key);
-  Cache::Handle* h = r->block_cache->Lookup(ckey);
-  if (h != nullptr) {
-    r->CountCacheHit();
-  } else {
-    r->CountCacheMiss();
-    ReadOptions opt;
-    opt.verify_checksums = r->options.paranoid_checks;
-    std::string contents;
-    LSMIO_RETURN_IF_ERROR(ReadBlockContents(r->file, opt, /*always_verify=*/true,
-                                            r->index_handle, &contents));
-    auto* raw = new Block(std::move(contents));
-    h = r->block_cache->Insert(ckey, raw, raw->size(), DeleteCachedBlock,
-                               r->options.tenant_id);
-  }
-  *block = static_cast<Block*>(r->block_cache->Value(h));
-  *cache_handle = h;
+  r->filter = std::make_unique<FilterBlockReader>(r->filter_policy, contents);
   return Status::OK();
 }
 
 bool Table::FilterKeyMayMatch(uint64_t block_offset, const Slice& user_key) const {
   Rep* r = rep_.get();
-  if (!r->has_filter && r->filter == nullptr) return true;
+  if (r->filter == nullptr) return true;
   if (r->counters) {
     r->counters->bloom_checked.fetch_add(1, std::memory_order_relaxed);
   }
-  bool may_match = true;
-  if (r->filter != nullptr) {
-    may_match = r->filter->KeyMayMatch(block_offset, user_key);
-  } else {
-    // Unpinned: fetch the filter bytes through the cache for this probe.
-    char key[16];
-    r->CacheKey(r->filter_handle.offset(), key);
-    const Slice ckey(key, sizeof key);
-    Cache::Handle* h = r->block_cache->Lookup(ckey);
-    if (h != nullptr) {
-      r->CountCacheHit();
-    } else {
-      r->CountCacheMiss();
-      ReadOptions opt;
-      opt.verify_checksums = r->options.paranoid_checks;
-      auto data = std::make_unique<std::string>();
-      if (!ReadBlockContents(r->file, opt, false, r->filter_handle, data.get())
-               .ok()) {
-        return true;  // filter unavailable: cannot prove absence
-      }
-      std::string* raw = data.release();
-      h = r->block_cache->Insert(ckey, raw, raw->size(), DeleteCachedFilterData,
-                                 r->options.tenant_id);
-    }
-    const auto* data = static_cast<const std::string*>(r->block_cache->Value(h));
-    FilterBlockReader reader(r->filter_policy, Slice(*data));
-    may_match = reader.KeyMayMatch(block_offset, user_key);
-    r->block_cache->Release(h);
-  }
+  const bool may_match = r->filter->KeyMayMatch(block_offset, user_key);
   if (!may_match && r->counters) {
     r->counters->bloom_useful.fetch_add(1, std::memory_order_relaxed);
   }
@@ -329,8 +231,7 @@ Iterator* Table::NewBlockIterator(const ReadOptions& options,
   if (use_cache) {
     char cache_key[16];
     r->CacheKey(handle.offset(), cache_key);
-    const Slice key(cache_key, sizeof cache_key);
-    cache_handle = r->block_cache->Lookup(key);
+    cache_handle = r->block_cache->Lookup(Slice(cache_key, sizeof cache_key));
     if (cache_handle != nullptr) {
       r->CountCacheHit();
       block = static_cast<Block*>(r->block_cache->Value(cache_handle));
@@ -342,9 +243,8 @@ Iterator* Table::NewBlockIterator(const ReadOptions& options,
       if (!s.ok()) return NewErrorIterator(s);
       block = new Block(std::move(contents));
       if (options.fill_cache) {
-        cache_handle = r->block_cache->Insert(key, block, block->size(),
-                                              DeleteCachedBlock,
-                                              r->options.tenant_id);
+        cache_handle = r->Insert(handle.offset(), block, block->size(),
+                                 DeleteCachedBlock);
       }
     }
   } else {
@@ -366,61 +266,13 @@ Iterator* Table::NewBlockIterator(const ReadOptions& options,
 }
 
 Iterator* Table::NewIterator(const ReadOptions& options) const {
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  const Status s = IndexBlock(&index, &index_handle);
-  if (!s.ok()) return NewErrorIterator(s);
-
-  Iterator* index_iter = index->NewIterator(rep_->comparator);
-  if (index_handle != nullptr) {
-    Cache* cache = rep_->block_cache;
-    index_iter->RegisterCleanup([cache, index_handle] { cache->Release(index_handle); });
-  }
   const Table* self = this;
   return NewTwoLevelIterator(
-      index_iter,
+      rep_->index->NewIterator(rep_->comparator),
       [self](const ReadOptions& opts, const Slice& index_value) {
         return self->NewBlockIterator(opts, index_value);
       },
       options);
-}
-
-Status Table::InternalGet(
-    const ReadOptions& options, const Slice& internal_key,
-    const std::function<void(const Slice&, const Slice&)>& handle_result) const {
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  LSMIO_RETURN_IF_ERROR(IndexBlock(&index, &index_handle));
-  Cache* cache = rep_->block_cache;
-  struct IndexRelease {
-    Cache* cache;
-    Cache::Handle* handle;
-    ~IndexRelease() {
-      if (handle != nullptr) cache->Release(handle);
-    }
-  } release{cache, index_handle};
-
-  std::unique_ptr<Iterator> index_iter(index->NewIterator(rep_->comparator));
-  index_iter->Seek(internal_key);
-  if (!index_iter->Valid()) return index_iter->status();
-
-  // Bloom check against the block this key would live in.
-  const Slice handle_value = index_iter->value();
-  if (internal_key.size() >= 8) {
-    Slice hv = handle_value;
-    BlockHandle handle;
-    if (handle.DecodeFrom(&hv).ok() &&
-        !FilterKeyMayMatch(handle.offset(), ExtractUserKey(internal_key))) {
-      return Status::OK();  // definitively absent
-    }
-  }
-
-  std::unique_ptr<Iterator> block_iter(NewBlockIterator(options, handle_value));
-  block_iter->Seek(internal_key);
-  if (block_iter->Valid()) {
-    handle_result(block_iter->key(), block_iter->value());
-  }
-  return block_iter->status();
 }
 
 Status Table::MultiGet(
@@ -430,26 +282,29 @@ Status Table::MultiGet(
   if (internal_keys.empty()) return Status::OK();
   Rep* r = rep_.get();
 
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  LSMIO_RETURN_IF_ERROR(IndexBlock(&index, &index_handle));
-  struct IndexRelease {
-    Cache* cache;
-    Cache::Handle* handle;
-    ~IndexRelease() {
-      if (handle != nullptr) cache->Release(handle);
-    }
-  } release{r->block_cache, index_handle};
-
   // Pass 1: walk the index forward (keys are sorted, so block offsets are
-  // non-decreasing), bloom-filter probes, group keys by data block.
+  // non-decreasing), bloom-filter probes, group keys by data block. Block
+  // j looks up keys[work[j-1].keys_end, work[j].keys_end).
   struct BlockWork {
     BlockHandle handle;
-    std::vector<size_t> keys;  // indices into internal_keys
+    size_t keys_end = 0;
+    Cache::Handle* cache_handle = nullptr;  // the cached block; released on return
   };
-  std::vector<BlockWork> work;
+  // Inline for a point lookup, which then allocates nothing here beyond
+  // the block it reads and its iterators.
+  InlineVector<BlockWork, 4> work;
+  InlineVector<size_t, 8> keys;  // indices into internal_keys
+  struct HandleRelease {
+    InlineVector<BlockWork, 4>* work;
+    Cache* cache;
+    ~HandleRelease() {
+      for (const BlockWork& w : *work) {
+        if (w.cache_handle != nullptr) cache->Release(w.cache_handle);
+      }
+    }
+  } release{&work, r->block_cache};
   {
-    std::unique_ptr<Iterator> index_iter(index->NewIterator(r->comparator));
+    std::unique_ptr<Iterator> index_iter(r->index->NewIterator(r->comparator));
     BlockHandle handle;
     bool positioned = false;  // index_iter valid and `handle` decoded for it
     for (size_t i = 0; i < internal_keys.size(); ++i) {
@@ -484,154 +339,116 @@ Status Table::MultiGet(
           !FilterKeyMayMatch(handle.offset(), ExtractUserKey(ikey))) {
         continue;  // definitively absent
       }
-      if (!work.empty() && work.back().handle.offset() == handle.offset()) {
-        work.back().keys.push_back(i);
-      } else {
-        work.push_back(BlockWork{handle, {i}});
+      if (work.empty() || work.back().handle.offset() != handle.offset()) {
+        work.push_back(BlockWork{handle});
       }
+      keys.push_back(i);
+      work.back().keys_end = keys.size();
     }
   }
   if (work.empty()) return Status::OK();
 
-  // Pass 2: resolve blocks — cache lookups first, then coalesce runs of
-  // adjacent missing blocks into single VFS reads.
+  // Pass 2: cache lookups, so that pass 3 knows which blocks to read.
   const bool use_cache = r->use_cache();
-  // Buffers backing blocks that borrow their bytes (the non-cached path);
-  // they must stay alive until the guards release those blocks.
-  std::vector<std::unique_ptr<std::string>> backing;
-  std::vector<BlockGuard> guards(work.size());
-  struct GuardRelease {
-    std::vector<BlockGuard>* guards;
-    Cache* cache;
-    ~GuardRelease() {
-      for (BlockGuard& g : *guards) {
-        if (g.cache_handle != nullptr) cache->Release(g.cache_handle);
-        else if (g.owned) delete g.block;
-      }
-    }
-  } guard_release{&guards, r->block_cache};
-
-  if (use_cache) {
-    for (size_t j = 0; j < work.size(); ++j) {
+  for (BlockWork& w : work) {
+    if (use_cache) {
       char cache_key[16];
-      r->CacheKey(work[j].handle.offset(), cache_key);
-      Cache::Handle* h = r->block_cache->Lookup(Slice(cache_key, sizeof cache_key));
-      if (h != nullptr) {
-        r->CountCacheHit();
-        guards[j].block = static_cast<Block*>(r->block_cache->Value(h));
-        guards[j].cache_handle = h;
-      } else {
-        r->CountCacheMiss();
-      }
+      r->CacheKey(w.handle.offset(), cache_key);
+      w.cache_handle = r->block_cache->Lookup(Slice(cache_key, sizeof cache_key));
     }
-  } else {
-    for (size_t j = 0; j < work.size(); ++j) r->CountCacheMiss();
+    if (w.cache_handle != nullptr) {
+      r->CountCacheHit();
+    } else {
+      r->CountCacheMiss();
+    }
   }
 
-  const bool cache_fill = use_cache && options.fill_cache;
-  std::string scratch;
-  for (size_t j = 0; j < work.size();) {
-    if (guards[j].block != nullptr) {
-      ++j;
-      continue;
-    }
-    // Extend the run while blocks are physically adjacent
-    // (offset + size + trailer == next offset) and also unresolved.
-    size_t k = j;
-    const uint64_t start = work[j].handle.offset();
-    uint64_t end = start + work[j].handle.size() + kBlockTrailerSize;
-    while (k + 1 < work.size() && guards[k + 1].block == nullptr &&
-           work[k + 1].handle.offset() == end &&
-           end - start + work[k + 1].handle.size() + kBlockTrailerSize <=
-               kMaxCoalescedReadBytes) {
-      ++k;
-      end = work[k].handle.offset() + work[k].handle.size() + kBlockTrailerSize;
-    }
-    // Uncached blocks serve straight out of the coalesced read buffer, so
-    // each run gets its own buffer, kept alive in `backing`.
-    std::string* read_buf = &scratch;
-    if (!cache_fill) {
-      backing.push_back(std::make_unique<std::string>());
-      read_buf = backing.back().get();
-    }
-    Slice raw;
-    LSMIO_RETURN_IF_ERROR(
-        r->file->Read(start, static_cast<size_t>(end - start), &raw, read_buf));
-    if (raw.size() != end - start) {
-      return Status::Corruption("truncated coalesced block read");
-    }
-    if (k > j && r->counters) {
-      r->counters->coalesced_reads.fetch_add(k - j, std::memory_order_relaxed);
-    }
-    for (size_t m = j; m <= k; ++m) {
-      const Slice block_raw(
-          raw.data() + (work[m].handle.offset() - start),
-          static_cast<size_t>(work[m].handle.size()) + kBlockTrailerSize);
-      if (cache_fill) {
-        std::string contents;
-        LSMIO_RETURN_IF_ERROR(DecodeBlockContents(block_raw, options,
-                                                  r->options.paranoid_checks,
-                                                  &contents));
-        auto* block = new Block(std::move(contents));
-        guards[m].block = block;
-        char cache_key[16];
-        r->CacheKey(work[m].handle.offset(), cache_key);
-        guards[m].cache_handle = r->block_cache->Insert(
-            Slice(cache_key, sizeof cache_key), block, block->size(),
-            DeleteCachedBlock, r->options.tenant_id);
-      } else {
-        // Zero-copy: the block views the read buffer (or, when compressed,
-        // its own decompression buffer parked in `backing`).
-        std::string decompressed;
-        Slice view;
-        LSMIO_RETURN_IF_ERROR(DecodeBlockView(block_raw, options,
-                                              r->options.paranoid_checks,
-                                              &decompressed, &view));
-        if (!decompressed.empty()) {
-          backing.push_back(
-              std::make_unique<std::string>(std::move(decompressed)));
-          view = Slice(*backing.back());
-        }
-        guards[m].block = new Block(view);
-        guards[m].owned = true;
-      }
-    }
-    j = k + 1;
-  }
-
-  // Pass 3: seek each key inside its block.
-  for (size_t j = 0; j < work.size(); ++j) {
-    std::unique_ptr<Iterator> block_iter(
-        guards[j].block->NewIterator(r->comparator));
-    for (const size_t i : work[j].keys) {
+  // Pass 3: seek each key inside its block, in block order. Runs of
+  // adjacent missing blocks are fetched with one VFS read, and a run's
+  // keys are all sought before the next run is read, so one buffer serves
+  // every run.
+  size_t next_key = 0;
+  auto seek_keys = [&](Block* block, size_t keys_end) -> Status {
+    std::unique_ptr<Iterator> block_iter(block->NewIterator(r->comparator));
+    for (; next_key < keys_end; ++next_key) {
+      const size_t i = keys[next_key];
       block_iter->Seek(internal_keys[i]);
       if (block_iter->Valid()) {
         handle_result(i, block_iter->key(), block_iter->value());
       }
       LSMIO_RETURN_IF_ERROR(block_iter->status());
     }
+    return Status::OK();
+  };
+  const bool cache_fill = use_cache && options.fill_cache;
+  std::string buffer;        // the current run's bytes
+  std::string decompressed;  // the current block's, when not cached
+  for (size_t j = 0; j < work.size();) {
+    if (work[j].cache_handle != nullptr) {
+      auto* block = static_cast<Block*>(r->block_cache->Value(work[j].cache_handle));
+      LSMIO_RETURN_IF_ERROR(seek_keys(block, work[j].keys_end));
+      ++j;
+      continue;
+    }
+    // Extend the run while blocks are physically adjacent
+    // (offset + size + trailer == next offset) and also missing.
+    size_t k = j;
+    const uint64_t start = work[j].handle.offset();
+    uint64_t end = start + work[j].handle.size() + kBlockTrailerSize;
+    while (k + 1 < work.size() && work[k + 1].cache_handle == nullptr &&
+           work[k + 1].handle.offset() == end &&
+           end - start + work[k + 1].handle.size() + kBlockTrailerSize <=
+               kMaxCoalescedReadBytes) {
+      ++k;
+      end = work[k].handle.offset() + work[k].handle.size() + kBlockTrailerSize;
+    }
+    Slice raw;
+    LSMIO_RETURN_IF_ERROR(
+        r->file->Read(start, static_cast<size_t>(end - start), &raw, &buffer));
+    if (raw.size() != end - start) {
+      return Status::Corruption("truncated coalesced block read");
+    }
+    if (k > j && r->counters) {
+      r->counters->coalesced_reads.fetch_add(k - j, std::memory_order_relaxed);
+    }
+    for (; j <= k; ++j) {
+      BlockWork& w = work[j];
+      const Slice block_raw(
+          raw.data() + (w.handle.offset() - start),
+          static_cast<size_t>(w.handle.size()) + kBlockTrailerSize);
+      if (cache_fill) {
+        std::string contents;
+        LSMIO_RETURN_IF_ERROR(DecodeBlockContents(block_raw, options,
+                                                  r->options.paranoid_checks,
+                                                  &contents));
+        auto* block = new Block(std::move(contents));
+        w.cache_handle = r->Insert(w.handle.offset(), block, block->size(),
+                                   DeleteCachedBlock);
+        LSMIO_RETURN_IF_ERROR(seek_keys(block, w.keys_end));
+      } else {
+        // Zero-copy: the block views the read buffer, or the decompressed
+        // bytes when the block is compressed.
+        Slice view;
+        LSMIO_RETURN_IF_ERROR(DecodeBlockView(block_raw, options,
+                                              r->options.paranoid_checks,
+                                              &decompressed, &view));
+        Block block(view);
+        LSMIO_RETURN_IF_ERROR(seek_keys(&block, w.keys_end));
+      }
+    }
   }
   return Status::OK();
 }
 
 uint64_t Table::ApproximateOffsetOf(const Slice& internal_key) const {
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  if (!IndexBlock(&index, &index_handle).ok()) {
-    return rep_->metaindex_handle.offset();
+  std::unique_ptr<Iterator> index_iter(rep_->index->NewIterator(rep_->comparator));
+  index_iter->Seek(internal_key);
+  if (index_iter->Valid()) {
+    Slice input = index_iter->value();
+    BlockHandle handle;
+    if (handle.DecodeFrom(&input).ok()) return handle.offset();
   }
-  uint64_t result = rep_->metaindex_handle.offset();  // ≈ file end
-  {
-    std::unique_ptr<Iterator> index_iter(index->NewIterator(rep_->comparator));
-    index_iter->Seek(internal_key);
-    if (index_iter->Valid()) {
-      Slice input = index_iter->value();
-      BlockHandle handle;
-      if (handle.DecodeFrom(&input).ok()) result = handle.offset();
-    }
-  }
-  if (index_handle != nullptr) rep_->block_cache->Release(index_handle);
-  return result;
+  return rep_->metaindex_handle.offset();  // ≈ file end
 }
 
 }  // namespace lsmio::lsm

@@ -1,7 +1,7 @@
 // Immutable SSTable reader: footer → index/metaindex/filter blocks, block
-// cache integration, point lookups via bloom filter, iteration via the
-// two-level iterator, and batched lookups (MultiGet) that coalesce adjacent
-// data-block reads into single VFS reads.
+// cache integration, iteration via the two-level iterator, and lookups
+// (MultiGet, one key or many) that probe the bloom filter and coalesce
+// adjacent data-block reads into single VFS reads.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +31,10 @@ class Table {
   /// `block_cache` may be null. `filter_policy` may be null. `counters`
   /// (optional) receives read-path statistics and must outlive the Table.
   ///
-  /// With Options::pin_index_and_filter (default) the index and filter
-  /// blocks are loaded once and stay pinned — cache-handle retained for the
-  /// table's lifetime when a block cache exists, table-owned otherwise.
-  /// When unpinned, every probe does a cache round trip per block.
+  /// The index and filter blocks are read once here and stay pinned for the
+  /// table's lifetime: in the block cache through a retained handle (so
+  /// they count against its capacity) when one is in use, table-owned
+  /// otherwise.
   static Status Open(const Options& options, const Comparator* comparator,
                      const FilterPolicy* filter_policy, Cache* block_cache,
                      uint64_t cache_id, vfs::RandomAccessFile* file,
@@ -51,17 +51,13 @@ class Table {
   /// bytes ahead (sequential-scan readahead for compaction/restore).
   Iterator* NewIterator(const ReadOptions& options) const;
 
-  /// Seeks `internal_key`; if an entry is found, calls
-  /// handle_result(arg_key, arg_value). Checks the bloom filter first.
-  Status InternalGet(const ReadOptions& options, const Slice& internal_key,
-                     const std::function<void(const Slice&, const Slice&)>& handle_result) const;
-
-  /// Batched lookup: `internal_keys` must be sorted ascending by the
-  /// table's comparator. Seeks the index once per key in order, probes the
-  /// bloom filter first, groups keys by data block, and fetches runs of
-  /// adjacent cache-missing blocks with one VFS read each. Calls
-  /// handle_result(i, found_key, found_value) for every key whose block
-  /// contains an entry >= the key (same contract as InternalGet).
+  /// Looks up `internal_keys`, which must be sorted ascending by the
+  /// table's comparator (a point lookup is a batch of one). Seeks the index
+  /// once per key in order, probes the bloom filter first, groups keys by
+  /// data block, and fetches runs of adjacent cache-missing blocks with one
+  /// VFS read each. Calls handle_result(i, found_key, found_value) with the
+  /// first entry >= internal_keys[i] in the block that would hold it, for
+  /// every key the filter does not rule out and whose block has one.
   Status MultiGet(const ReadOptions& options,
                   std::span<const Slice> internal_keys,
                   const std::function<void(size_t, const Slice&, const Slice&)>&
@@ -76,9 +72,6 @@ class Table {
 
   Iterator* NewBlockIterator(const ReadOptions& options, const Slice& index_value) const;
 
-  /// Returns the index block; *cache_handle is non-null when the block was
-  /// pinned in the cache for this call only (caller releases after use).
-  Status IndexBlock(Block** block, Cache::Handle** cache_handle) const;
   /// False when the bloom filter proves `user_key` absent from the data
   /// block at `block_offset`.
   bool FilterKeyMayMatch(uint64_t block_offset, const Slice& user_key) const;
@@ -86,7 +79,8 @@ class Table {
   /// window does not already reach past it.
   void MaybeReadahead(const ReadOptions& options, const BlockHandle& handle) const;
 
-  Status ReadMeta(const class Footer& footer);
+  /// Reads and pins the bloom filter named by the metaindex, if any.
+  Status ReadFilter(const class Footer& footer);
 
   std::unique_ptr<Rep> rep_;
 };

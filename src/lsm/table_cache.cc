@@ -74,18 +74,6 @@ Iterator* TableCache::NewIterator(const ReadOptions& options,
   return result;
 }
 
-Status TableCache::Get(
-    const ReadOptions& options, uint64_t file_number, uint64_t file_size,
-    const Slice& internal_key,
-    const std::function<void(const Slice&, const Slice&)>& handle_result) {
-  Cache::Handle* handle = nullptr;
-  LSMIO_RETURN_IF_ERROR(FindTable(file_number, file_size, &handle));
-  auto* tf = static_cast<TableAndFile*>(cache_->Value(handle));
-  Status s = tf->table->InternalGet(options, internal_key, handle_result);
-  cache_->Release(handle);
-  return s;
-}
-
 Status TableCache::MultiGet(
     const ReadOptions& options, uint64_t file_number, uint64_t file_size,
     std::span<const Slice> internal_keys,

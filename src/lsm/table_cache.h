@@ -1,5 +1,5 @@
-// Cache of open Table readers keyed by file number, so repeated point
-// lookups don't re-open and re-parse table footers.
+// Cache of open Table readers keyed by file number, so repeated lookups
+// don't re-open and re-parse table footers.
 //
 // Thread-safety: all methods are safe to call concurrently; the state lives
 // in the underlying ShardedLRUCache (per-shard mutexes, see lsm/cache.cc)
@@ -44,12 +44,7 @@ class TableCache {
   Iterator* NewIterator(const ReadOptions& options, uint64_t file_number,
                         uint64_t file_size, Table** tableptr = nullptr);
 
-  /// Point lookup in table `file_number`.
-  Status Get(const ReadOptions& options, uint64_t file_number,
-             uint64_t file_size, const Slice& internal_key,
-             const std::function<void(const Slice&, const Slice&)>& handle_result);
-
-  /// Batched lookup in table `file_number`; `internal_keys` must be sorted
+  /// Lookup in table `file_number`; `internal_keys` must be sorted
   /// ascending. handle_result(i, key, value) fires per located entry (same
   /// contract as Table::MultiGet).
   Status MultiGet(const ReadOptions& options, uint64_t file_number,

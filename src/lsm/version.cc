@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/coding.h"
+#include "common/inline_vector.h"
 #include "lsm/comparator.h"
 #include "lsm/log_reader.h"
 #include "lsm/log_writer.h"
@@ -73,147 +74,53 @@ int Version::PickCompactionLevel(const Options& options, double* score) const {
   return best_level;
 }
 
-Status Version::Get(const ReadOptions& options, TableCache* table_cache,
-                    const LookupKey& key, std::string* value,
-                    bool* is_pointer) const {
-  const Comparator* ucmp = icmp_->user_comparator();
-  const Slice user_key = key.user_key();
-  const Slice internal_key = key.internal_key();
+namespace {
 
-  struct GetState {
-    enum { kNotFound, kFound, kDeleted, kCorrupt } state = kNotFound;
-    Slice user_key;
-    const InternalKeyComparator* icmp;
-    std::string* value;
-    bool* is_pointer;
-  } state;
-  state.user_key = user_key;
-  state.icmp = icmp_;
-  state.value = value;
-  state.is_pointer = is_pointer;
-
-  auto saver = [&state](const Slice& ikey, const Slice& v) {
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(ikey, &parsed)) {
-      state.state = GetState::kCorrupt;
-      return;
-    }
-    if (state.icmp->user_comparator()->Compare(parsed.user_key, state.user_key) != 0) {
-      return;  // a different key: not found in this table
-    }
-    if (parsed.type == ValueType::kValue ||
-        parsed.type == ValueType::kValuePointer) {
-      state.value->assign(v.data(), v.size());
-      state.state = GetState::kFound;
-      if (state.is_pointer != nullptr) {
-        *state.is_pointer = parsed.type == ValueType::kValuePointer;
-      }
-    } else {
-      state.state = GetState::kDeleted;
-    }
-  };
-
-  // L0: newest first, check every overlapping file.
-  for (const auto& f : files[0]) {
-    if (ucmp->Compare(user_key, ExtractUserKey(Slice(f.smallest))) >= 0 &&
-        ucmp->Compare(user_key, ExtractUserKey(Slice(f.largest))) <= 0) {
-      LSMIO_RETURN_IF_ERROR(
-          table_cache->Get(options, f.number, f.file_size, internal_key, saver));
-      switch (state.state) {
-        case GetState::kFound: return Status::OK();
-        case GetState::kDeleted: return Status::NotFound("deleted");
-        case GetState::kCorrupt: return Status::Corruption("corrupted key");
-        case GetState::kNotFound: break;
-      }
-    }
+// Answers `req` from `ikey`, the first entry at or after its lookup key in
+// a table, unless that entry belongs to another user key.
+void ResolveFromTable(const Comparator* ucmp, Version::GetRequest* req,
+                      const Slice& ikey, const Slice& value) {
+  ParsedInternalKey parsed;
+  if (!ParseInternalKey(ikey, &parsed)) {
+    *req->status = Status::Corruption("corrupted key");
+  } else if (ucmp->Compare(parsed.user_key, req->lkey->user_key()) != 0) {
+    return;  // a different key: not in this table
+  } else if (parsed.type == ValueType::kValue ||
+             parsed.type == ValueType::kValuePointer) {
+    req->value->assign(value.data(), value.size());
+    req->is_pointer = parsed.type == ValueType::kValuePointer;
+    *req->status = Status::OK();
+  } else {
+    *req->status = Status::NotFound("deleted");
   }
-
-  // L1+: files are sorted and disjoint; binary search by largest key.
-  for (int level = 1; level < kNumLevels; ++level) {
-    const auto& level_files = files[level];
-    if (level_files.empty()) continue;
-    const auto it = std::lower_bound(
-        level_files.begin(), level_files.end(), internal_key,
-        [this](const FileMetaData& f, const Slice& target) {
-          return icmp_->Compare(Slice(f.largest), target) < 0;
-        });
-    if (it == level_files.end()) continue;
-    if (ucmp->Compare(user_key, ExtractUserKey(Slice(it->smallest))) < 0) continue;
-
-    LSMIO_RETURN_IF_ERROR(
-        table_cache->Get(options, it->number, it->file_size, internal_key, saver));
-    switch (state.state) {
-      case GetState::kFound: return Status::OK();
-      case GetState::kDeleted: return Status::NotFound("deleted");
-      case GetState::kCorrupt: return Status::Corruption("corrupted key");
-      case GetState::kNotFound: break;
-    }
-  }
-  return Status::NotFound("key not present");
+  req->done = true;
 }
+
+}  // namespace
 
 Status Version::MultiGet(const ReadOptions& options, TableCache* table_cache,
                          std::span<GetRequest*> reqs) const {
   const Comparator* ucmp = icmp_->user_comparator();
 
-  enum class KeyState : uint8_t { kNotFound, kFound, kDeleted, kCorrupt };
-
-  // Probes one table file with a sorted group of unresolved requests.
-  auto probe_file = [&](const FileMetaData& f,
-                        const std::vector<GetRequest*>& group) -> Status {
-    std::vector<Slice> ikeys;
-    ikeys.reserve(group.size());
+  // The requests and keys of one table probe, reused across files; inline
+  // for a point lookup, which then allocates nothing here.
+  InlineVector<GetRequest*, 8> group;
+  InlineVector<Slice, 8> ikeys;
+  auto probe_file = [&](const FileMetaData& f) -> Status {
+    ikeys.clear();
     for (const GetRequest* req : group) ikeys.push_back(req->lkey->internal_key());
-    std::vector<KeyState> states(group.size(), KeyState::kNotFound);
-
-    auto saver = [&](size_t i, const Slice& ikey, const Slice& v) {
-      ParsedInternalKey parsed;
-      if (!ParseInternalKey(ikey, &parsed)) {
-        states[i] = KeyState::kCorrupt;
-        return;
-      }
-      if (ucmp->Compare(parsed.user_key, group[i]->lkey->user_key()) != 0) {
-        return;  // a different key: not found in this table
-      }
-      if (parsed.type == ValueType::kValue ||
-          parsed.type == ValueType::kValuePointer) {
-        group[i]->value->assign(v.data(), v.size());
-        group[i]->is_pointer = parsed.type == ValueType::kValuePointer;
-        states[i] = KeyState::kFound;
-      } else {
-        states[i] = KeyState::kDeleted;
-      }
-    };
-
-    LSMIO_RETURN_IF_ERROR(
-        table_cache->MultiGet(options, f.number, f.file_size, ikeys, saver));
-    for (size_t i = 0; i < group.size(); ++i) {
-      GetRequest* req = group[i];
-      switch (states[i]) {
-        case KeyState::kFound:
-          *req->status = Status::OK();
-          req->done = true;
-          break;
-        case KeyState::kDeleted:
-          *req->status = Status::NotFound("deleted");
-          req->done = true;
-          break;
-        case KeyState::kCorrupt:
-          *req->status = Status::Corruption("corrupted key");
-          req->done = true;
-          break;
-        case KeyState::kNotFound:
-          break;
-      }
-    }
-    return Status::OK();
+    return table_cache->MultiGet(
+        options, f.number, f.file_size, ikeys,
+        [&group, ucmp](size_t i, const Slice& ikey, const Slice& value) {
+          ResolveFromTable(ucmp, group[i], ikey, value);
+        });
   };
 
   // L0: newest first; each file is probed once with its in-range keys.
   for (const auto& f : files[0]) {
     const Slice smallest = ExtractUserKey(Slice(f.smallest));
     const Slice largest = ExtractUserKey(Slice(f.largest));
-    std::vector<GetRequest*> group;
+    group.clear();
     for (GetRequest* req : reqs) {
       if (req->done) continue;
       const Slice uk = req->lkey->user_key();
@@ -221,7 +128,7 @@ Status Version::MultiGet(const ReadOptions& options, TableCache* table_cache,
         group.push_back(req);
       }
     }
-    if (!group.empty()) LSMIO_RETURN_IF_ERROR(probe_file(f, group));
+    if (!group.empty()) LSMIO_RETURN_IF_ERROR(probe_file(f));
   }
 
   // L1+: files are sorted and disjoint; binary-search the first key's file,
@@ -249,13 +156,14 @@ Status Version::MultiGet(const ReadOptions& options, TableCache* table_cache,
         continue;
       }
       const Slice largest = ExtractUserKey(Slice(it->largest));
-      std::vector<GetRequest*> group{req};
+      group.clear();
+      group.push_back(req);
       size_t j = i + 1;
       for (; j < reqs.size(); ++j) {
         if (ucmp->Compare(reqs[j]->lkey->user_key(), largest) > 0) break;
         if (!reqs[j]->done) group.push_back(reqs[j]);
       }
-      LSMIO_RETURN_IF_ERROR(probe_file(*it, group));
+      LSMIO_RETURN_IF_ERROR(probe_file(*it));
       i = j;
     }
   }
@@ -390,7 +298,9 @@ Status VersionSet::DecodeSnapshot(const Slice& record) {
   std::vector<BlobSegmentMeta> segments;
   if (!input.empty()) {
     uint32_t segment_count = 0;
-    if (!GetVarint32(&input, &segment_count)) {
+    // Every entry takes at least one byte, so a count above the bytes left
+    // is corrupt; checked before the count sizes any allocation.
+    if (!GetVarint32(&input, &segment_count) || segment_count > input.size()) {
       return Status::Corruption("manifest: bad blob segment count");
     }
     segments.reserve(segment_count);
@@ -410,7 +320,8 @@ Status VersionSet::DecodeSnapshot(const Slice& record) {
     for (uint32_t i = 0; i < files_with_refs; ++i) {
       uint64_t file_number = 0;
       uint32_t ref_count = 0;
-      if (!GetVarint64(&input, &file_number) || !GetVarint32(&input, &ref_count)) {
+      if (!GetVarint64(&input, &file_number) || !GetVarint32(&input, &ref_count) ||
+          ref_count > input.size()) {
         return Status::Corruption("manifest: bad blob ref record");
       }
       std::vector<uint64_t> refs(ref_count);

@@ -59,18 +59,11 @@ class Version {
   /// L1+ are sorted by smallest key and non-overlapping.
   std::vector<FileMetaData> files[kNumLevels];
 
-  /// Looks `user key` up through the levels, newest first. When the entry
-  /// found is a kValuePointer, *value receives the encoded ValuePointer and
-  /// *is_pointer (when non-null) is set; the caller resolves it through the
-  /// store's ValueLog.
-  Status Get(const ReadOptions& options, TableCache* table_cache,
-             const LookupKey& key, std::string* value,
-             bool* is_pointer = nullptr) const;
-
-  /// One key of a MultiGet batch flowing through the level search. The
-  /// caller owns the lkey/value/status storage; *status must be preset to
-  /// the final "not anywhere" value (NotFound) and is overwritten when the
-  /// key resolves, at which point `done` is set.
+  /// One key of a lookup flowing through the level search (a point Get is
+  /// a batch of one). The caller owns the lkey/value/status storage; a
+  /// request the walk resolves gets *status (OK, NotFound for a deletion,
+  /// or Corruption for an unparsable entry) and `done`, and the caller
+  /// answers the rest.
   struct GetRequest {
     const LookupKey* lkey = nullptr;
     std::string* value = nullptr;
@@ -81,10 +74,11 @@ class Version {
     bool is_pointer = false;
   };
 
-  /// Batched lookup: `reqs` must be sorted ascending by user key. Walks the
-  /// levels newest-first like Get, but probes each table file once with all
-  /// the still-unresolved keys that fall inside it (TableCache::MultiGet),
-  /// so adjacent keys share index seeks and coalesced block reads.
+  /// Looks `reqs` up through the levels, newest first, skipping requests
+  /// already done. `reqs` must be sorted ascending by user key. Each table
+  /// file is probed once with all the still-unresolved keys that fall
+  /// inside it (TableCache::MultiGet), so adjacent keys share index seeks
+  /// and coalesced block reads.
   Status MultiGet(const ReadOptions& options, TableCache* table_cache,
                   std::span<GetRequest*> reqs) const;
 

@@ -282,15 +282,17 @@ TEST_F(ArbiterManagerTest, ForcedFlushOnColdStoreDoesNotBlockHotStore) {
   EXPECT_EQ(total_forced, arbiter.flush_requests());
 }
 
-// Vfs decorator that can pause a WAL append: after HoldNextWalAppend(), the
-// next append to a .log file blocks until Release(). A group-commit leader
-// appends its WAL record after admitting the group, with the DB mutex
-// released, so this parks a write group past its admission check.
-class HoldWalVfs final : public vfs::Vfs {
+// Vfs decorator that can pause an append: after HoldNextAppend(), the next
+// append to a file whose name ends in `suffix` blocks until Release(). On
+// ".log" it parks a write group past its admission check (a group-commit
+// leader appends its WAL record after admitting the group, with the DB
+// mutex released); on ".sst" it parks a flush on the background thread.
+class HoldAppendVfs final : public vfs::Vfs {
  public:
-  explicit HoldWalVfs(vfs::Vfs& base) : base_(base) {}
+  HoldAppendVfs(vfs::Vfs& base, std::string suffix)
+      : base_(base), suffix_(std::move(suffix)) {}
 
-  void HoldNextWalAppend() { hold_.store(true); }
+  void HoldNextAppend() { hold_.store(true); }
   void WaitUntilHeld() const {
     while (!held_.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
@@ -300,8 +302,9 @@ class HoldWalVfs final : public vfs::Vfs {
                          std::unique_ptr<vfs::WritableFile>* file) override {
     std::unique_ptr<vfs::WritableFile> inner;
     LSMIO_RETURN_IF_ERROR(base_.NewWritableFile(path, opts, &inner));
-    const bool wal = path.size() > 4 && path.rfind(".log") == path.size() - 4;
-    *file = wal ? std::make_unique<Wal>(this, std::move(inner)) : std::move(inner);
+    const bool held = path.size() > suffix_.size() &&
+                      path.compare(path.size() - suffix_.size(), suffix_.size(), suffix_) == 0;
+    *file = held ? std::make_unique<Held>(this, std::move(inner)) : std::move(inner);
     return Status::OK();
   }
   Status NewRandomAccessFile(const std::string& path, const vfs::OpenOptions& opts,
@@ -330,9 +333,9 @@ class HoldWalVfs final : public vfs::Vfs {
   }
 
  private:
-  class Wal final : public vfs::WritableFile {
+  class Held final : public vfs::WritableFile {
    public:
-    Wal(HoldWalVfs* owner, std::unique_ptr<vfs::WritableFile> inner)
+    Held(HoldAppendVfs* owner, std::unique_ptr<vfs::WritableFile> inner)
         : owner_(owner), inner_(std::move(inner)) {}
     Status Append(const Slice& data) override {
       if (owner_->hold_.load()) {
@@ -347,11 +350,12 @@ class HoldWalVfs final : public vfs::Vfs {
     [[nodiscard]] uint64_t Size() const override { return inner_->Size(); }
 
    private:
-    HoldWalVfs* owner_;
+    HoldAppendVfs* owner_;
     std::unique_ptr<vfs::WritableFile> inner_;
   };
 
   vfs::Vfs& base_;
+  const std::string suffix_;
   std::atomic<bool> hold_{false};
   std::atomic<bool> held_{false};
 };
@@ -367,7 +371,7 @@ TEST_F(ArbiterManagerTest, VictimRequestDuringWriteGroupIsCarriedOut) {
   tight.min_victim_bytes = 16 * KiB;
   MemoryArbiter arbiter(tight);
 
-  HoldWalVfs fs(fs_);
+  HoldAppendVfs fs(fs_, ".log");
   LsmioOptions options;
   options.vfs = &fs;
   options.memory_arbiter = &arbiter;
@@ -376,7 +380,7 @@ TEST_F(ArbiterManagerTest, VictimRequestDuringWriteGroupIsCarriedOut) {
   ASSERT_TRUE(Manager::Open(options, "/victim", &store).ok());
   ASSERT_TRUE(store->Put("parked", std::string(64 * KiB, 'p')).ok());
 
-  fs.HoldNextWalAppend();
+  fs.HoldNextAppend();
   std::thread writer([&] { EXPECT_TRUE(store->Put("last", "v").ok()); });
   fs.WaitUntilHeld();
 
@@ -394,6 +398,58 @@ TEST_F(ArbiterManagerTest, VictimRequestDuringWriteGroupIsCarriedOut) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(store->engine_stats().arbiter_forced_flushes, 1u);
+  store.reset();
+  arbiter.Detach(other);
+}
+
+// A write barrier that switches the memtable between the arbiter's pick
+// and the queued ArbiterFlushCall serves the request: the memory the pick
+// counted is flushed. The request must not outlive that switch, or the
+// next write group forces a flush of a memtable holding one batch.
+TEST_F(ArbiterManagerTest, BarrierSwitchServesPendingVictimRequest) {
+  MemoryArbiterOptions tight;
+  tight.write_budget_bytes = 4 * MiB;
+  tight.flush_watermark = 0.5;
+  tight.min_victim_bytes = 16 * KiB;
+  MemoryArbiter arbiter(tight);
+
+  HoldAppendVfs fs(fs_, ".sst");
+  LsmioOptions options;
+  options.vfs = &fs;
+  options.memory_arbiter = &arbiter;
+  options.background_threads = 1;  // a parked flush delays every queued task
+  options.max_write_buffer_number = 3;
+  std::unique_ptr<Manager> store;
+  ASSERT_TRUE(Manager::Open(options, "/barrier", &store).ok());
+
+  // Park a flush on the store's only background thread.
+  ASSERT_TRUE(store->Put("flushing", std::string(64 * KiB, 'f')).ok());
+  fs.HoldNextAppend();
+  ASSERT_TRUE(store->WriteBarrier(BarrierMode::kAsync).ok());
+  fs.WaitUntilHeld();
+  ASSERT_TRUE(store->Put("active", std::string(64 * KiB, 'a')).ok());
+
+  // Another tenant takes the aggregate over the watermark and the store is
+  // picked; its ArbiterFlushCall queues behind the parked flush.
+  const uint64_t other = arbiter.Attach(arbiter.RegisterTenant("/other"), [] {});
+  arbiter.UpdateUsage(other, 3 * MiB, /*wrote=*/true);
+  EXPECT_EQ(arbiter.Residency(store->memory_tenant_id()).arbiter_forced_flushes, 1u);
+
+  // The barrier switches the picked memtable before that call runs.
+  ASSERT_TRUE(store->WriteBarrier(BarrierMode::kAsync).ok());
+  fs.Release();
+  ASSERT_TRUE(store->WriteBarrier(BarrierMode::kSync).ok());
+  arbiter.UpdateUsage(other, 0, /*wrote=*/false);
+
+  // Nothing is over budget, so the next writes force nothing. The second
+  // write group is where a stale request is honoured at the latest.
+  const lsm::DbStats before = store->engine_stats();
+  ASSERT_TRUE(store->Put("next", "v").ok());
+  ASSERT_TRUE(store->Put("after", "v").ok());
+  const lsm::DbStats after = store->engine_stats();
+  EXPECT_EQ(after.arbiter_forced_flushes, before.arbiter_forced_flushes);
+  EXPECT_EQ(after.memtable_flushes, before.memtable_flushes);
+  EXPECT_EQ(after.flush_queue_depth, 0u);
   store.reset();
   arbiter.Detach(other);
 }

@@ -5,6 +5,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/units.h"
@@ -33,6 +35,35 @@ std::string PrintConfig(const ::testing::TestParamInfo<EngineConfig>& info) {
   name += c.sync_writes ? "Sync" : "Async";
   name += c.use_mmap ? "Mmap" : "Pread";
   return name;
+}
+
+// Whether a lookup of `key` answered as the model says: its value, or
+// NotFound for a key the model does not hold.
+::testing::AssertionResult MatchesModel(const std::map<std::string, std::string>& model,
+                                        const std::string& key, const Status& s,
+                                        const std::string& value) {
+  const auto it = model.find(key);
+  if (it == model.end()) {
+    if (s.IsNotFound()) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << key << ": want NotFound, got " << s.ToString();
+  }
+  if (!s.ok()) return ::testing::AssertionFailure() << key << ": " << s.ToString();
+  if (value != it->second) return ::testing::AssertionFailure() << key << ": wrong value";
+  return ::testing::AssertionSuccess();
+}
+
+// MultiGet of `keys` at the latest sequence, each answer checked against
+// the model.
+void ExpectMultiGetMatchesModel(DB* db, const std::map<std::string, std::string>& model,
+                                const std::vector<std::string>& keys) {
+  const std::vector<Slice> slices(keys.begin(), keys.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(db->MultiGet({}, slices, &values, &statuses).ok());
+  ASSERT_EQ(statuses.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(MatchesModel(model, keys[i], statuses[i], values[i])) << "batch index " << i;
+  }
 }
 
 class DbPropertyTest : public ::testing::TestWithParam<EngineConfig> {
@@ -74,7 +105,7 @@ TEST_P(DbPropertyTest, RandomOpsMatchReferenceModel) {
     } else if (dice < 75) {
       model.erase(key);
       ASSERT_TRUE(db->Delete({}, key).ok());
-    } else if (dice < 95) {
+    } else if (dice < 85) {
       std::string value;
       const Status s = db->Get({}, key, &value);
       auto it = model.find(key);
@@ -84,6 +115,15 @@ TEST_P(DbPropertyTest, RandomOpsMatchReferenceModel) {
         ASSERT_TRUE(s.ok()) << "op " << op << ": " << s.ToString();
         ASSERT_EQ(value, it->second) << "op " << op;
       }
+    } else if (dice < 95) {
+      // A random batch over twice the written key range, so some keys were
+      // never written, with at least one duplicate.
+      std::vector<std::string> keys(rng.Uniform(16) + 1);
+      for (auto& k : keys) k = "key" + std::to_string(rng.Uniform(300));
+      keys.push_back(keys[rng.Uniform(keys.size())]);
+      SCOPED_TRACE("op " + std::to_string(op));
+      ExpectMultiGetMatchesModel(db.get(), model, keys);
+      if (HasFailure()) return;
     } else {
       ASSERT_TRUE(db->FlushMemTable(/*wait=*/rng.Bernoulli(0.5)).ok());
     }
@@ -125,6 +165,13 @@ TEST_P(DbPropertyTest, ReopenPreservesBarrieredState) {
     ASSERT_TRUE(db->Get({}, key, &got).ok()) << key;
     EXPECT_EQ(got, value) << key;
   }
+
+  // The restore read-back: every key in one MultiGet, with never-written
+  // keys and a duplicate mixed in.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 120; ++i) keys.push_back("k" + std::to_string(i));
+  keys.push_back(keys.front());
+  ExpectMultiGetMatchesModel(db.get(), model, keys);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -203,46 +203,43 @@ TEST_F(MultiGetTest, SnapshotConsistency) {
   }
 }
 
-// MultiGet must agree with per-key Get over a randomized workload that
-// includes overwrites and deletes, in every pin_index_and_filter mode.
+// MultiGet and Get must both answer as the model does over a randomized
+// workload that includes overwrites and deletes.
 TEST_F(MultiGetTest, MatchesGetExactly) {
-  for (const bool pin : {true, false}) {
-    Options options = BaseOptions();
-    options.disable_cache = false;
-    options.pin_index_and_filter = pin;
-    options.block_size = 512;
-    Open(options);
+  Options options = BaseOptions();
+  options.disable_cache = false;
+  options.block_size = 512;
+  Open(options);
 
-    std::map<std::string, std::string> model;
-    for (int round = 0; round < 4; ++round) {
-      for (int i = 0; i < 200; ++i) {
-        const std::string key = "key" + std::to_string((i * 37 + round * 11) % 300);
-        if ((i + round) % 7 == 0) {
-          ASSERT_TRUE(db_->Delete({}, key).ok());
-          model.erase(key);
-        } else {
-          const std::string value = "r" + std::to_string(round) + "." + std::to_string(i);
-          ASSERT_TRUE(db_->Put({}, key, value).ok());
-          model[key] = value;
-        }
-      }
-      ASSERT_TRUE(db_->FlushMemTable(/*wait=*/true).ok());
-    }
-
-    std::vector<std::string> keys;
-    for (int i = 0; i < 300; ++i) keys.push_back("key" + std::to_string(i));
-    std::vector<std::string> values;
-    const std::vector<Status> statuses = Batch(keys, &values);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const auto it = model.find(keys[i]);
-      if (it == model.end()) {
-        EXPECT_TRUE(statuses[i].IsNotFound()) << "pin=" << pin << " " << keys[i];
-        EXPECT_EQ(Get(keys[i]), "NOT_FOUND") << keys[i];
+  std::map<std::string, std::string> model;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      const std::string key = "key" + std::to_string((i * 37 + round * 11) % 300);
+      if ((i + round) % 7 == 0) {
+        ASSERT_TRUE(db_->Delete({}, key).ok());
+        model.erase(key);
       } else {
-        ASSERT_TRUE(statuses[i].ok()) << "pin=" << pin << " " << keys[i];
-        EXPECT_EQ(values[i], it->second) << keys[i];
-        EXPECT_EQ(Get(keys[i]), it->second) << keys[i];
+        const std::string value = "r" + std::to_string(round) + "." + std::to_string(i);
+        ASSERT_TRUE(db_->Put({}, key, value).ok());
+        model[key] = value;
       }
+    }
+    ASSERT_TRUE(db_->FlushMemTable(/*wait=*/true).ok());
+  }
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 300; ++i) keys.push_back("key" + std::to_string(i));
+  std::vector<std::string> values;
+  const std::vector<Status> statuses = Batch(keys, &values);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto it = model.find(keys[i]);
+    if (it == model.end()) {
+      EXPECT_TRUE(statuses[i].IsNotFound()) << keys[i];
+      EXPECT_EQ(Get(keys[i]), "NOT_FOUND") << keys[i];
+    } else {
+      ASSERT_TRUE(statuses[i].ok()) << keys[i];
+      EXPECT_EQ(values[i], it->second) << keys[i];
+      EXPECT_EQ(Get(keys[i]), it->second) << keys[i];
     }
   }
 }
@@ -296,7 +293,7 @@ TEST_F(MultiGetTest, StatsCountCoalescingAndBloom) {
 }
 
 // Iterator readahead (ReadOptions::readahead_bytes) and compaction
-// readahead (Options::compaction_readahead_bytes) must be accounted in
+// readahead (a fixed 1 MiB window) must be accounted in
 // DbStats::readahead_bytes.
 TEST_F(MultiGetTest, ReadaheadIsAccounted) {
   Options options = BaseOptions();
@@ -319,11 +316,10 @@ TEST_F(MultiGetTest, ReadaheadIsAccounted) {
     EXPECT_GT(db_->GetStats().readahead_bytes, 0u);
   }
 
-  // Compaction scans its inputs with Options::compaction_readahead_bytes.
+  // Compaction scans its inputs with readahead.
   Options compacting = BaseOptions();
   compacting.disable_compaction = false;
   compacting.l0_compaction_trigger = 100;
-  compacting.compaction_readahead_bytes = 128 * KiB;
   compacting.block_size = 512;
   Open(compacting);
   for (int file = 0; file < 3; ++file) {

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -21,6 +20,23 @@
 
 namespace lsmio::lsm {
 namespace {
+
+// Point lookup of `user_key` in `table`: a MultiGet of one key.
+bool TableGet(const Table& table, const std::string& user_key, std::string* value) {
+  std::string seek;
+  AppendInternalKey(&seek, user_key, kMaxSequenceNumber, kValueTypeForSeek);
+  const Slice ikeys[] = {seek};
+  bool found = false;
+  const Status s = table.MultiGet({}, ikeys, [&](size_t, const Slice& k, const Slice& v) {
+    ParsedInternalKey parsed;
+    if (ParseInternalKey(k, &parsed) && parsed.user_key == Slice(user_key)) {
+      *value = v.ToString();
+      found = true;
+    }
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return found;
+}
 
 // Builds a table of internal keys in a MemVfs and reopens it for reading.
 class TableTest : public ::testing::Test {
@@ -52,22 +68,9 @@ class TableTest : public ::testing::Test {
                     .ok());
   }
 
-  // Gets a user key through InternalGet.
+  // Gets a user key through a one-key MultiGet.
   bool Get(const std::string& user_key, std::string* value) {
-    std::string seek;
-    AppendInternalKey(&seek, user_key, kMaxSequenceNumber, kValueTypeForSeek);
-    bool found = false;
-    const Status s = table_->InternalGet(
-        {}, seek, [&](const Slice& k, const Slice& v) {
-          ParsedInternalKey parsed;
-          if (ParseInternalKey(k, &parsed) &&
-              parsed.user_key == Slice(user_key)) {
-            *value = v.ToString();
-            found = true;
-          }
-        });
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    return found;
+    return TableGet(*table_, user_key, value);
   }
 
   vfs::MemVfs fs_;
@@ -235,19 +238,16 @@ TEST_F(TableTest, ApproximateOffsetsAreMonotone) {
   EXPECT_GT(prev, 0u);
 }
 
-// Read/iterate matrix over {use_mmap} x {pin_index_and_filter} against the
-// real file system: mmap is a PosixVfs feature, and the pinned/unpinned
-// index-filter modes must serve identical results.
-class TableMatrixTest
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
+// Read/iterate matrix over {use_mmap} against the real file system: mmap is
+// a PosixVfs feature, and pread and mmap must serve identical results.
+class TableMatrixTest : public ::testing::TestWithParam<bool> {
  protected:
   TableMatrixTest() : icmp_(BytewiseComparator()), policy_(NewBloomFilterPolicy(10)) {}
 
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("lsmio_table_matrix_" + std::to_string(::getpid()) + "_" +
-            std::to_string(std::get<0>(GetParam())) +
-            std::to_string(std::get<1>(GetParam())));
+            std::to_string(GetParam()));
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(vfs::PosixVfs().CreateDir(dir_.string()).ok());
   }
@@ -266,13 +266,12 @@ class TableMatrixTest
   }
 
   void BuildAndOpen(const std::map<std::string, std::string>& user_entries) {
-    const auto [use_mmap, pin] = GetParam();
+    const bool use_mmap = GetParam();
     vfs::Vfs& fs = vfs::PosixVfs();
     const std::string path = (dir_ / "t.sst").string();
 
     Options options;
     options.block_size = 512;
-    options.pin_index_and_filter = pin;
 
     std::unique_ptr<vfs::WritableFile> file;
     ASSERT_TRUE(fs.NewWritableFile(path, {}, &file).ok());
@@ -293,20 +292,7 @@ class TableMatrixTest
   }
 
   bool Get(const std::string& user_key, std::string* value) {
-    std::string seek;
-    AppendInternalKey(&seek, user_key, kMaxSequenceNumber, kValueTypeForSeek);
-    bool found = false;
-    const Status s = table_->InternalGet(
-        {}, seek, [&](const Slice& k, const Slice& v) {
-          ParsedInternalKey parsed;
-          if (ParseInternalKey(k, &parsed) &&
-              parsed.user_key == Slice(user_key)) {
-            *value = v.ToString();
-            found = true;
-          }
-        });
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    return found;
+    return TableGet(*table_, user_key, value);
   }
 
   std::filesystem::path dir_;
@@ -350,8 +336,8 @@ TEST_P(TableMatrixTest, LookupsIterationAndMultiGet) {
   EXPECT_TRUE(iter->status().ok());
   EXPECT_GT(counters_.readahead_bytes.load(), 0u);
 
-  // MultiGet over a sorted batch: present keys, bloom-rejected absences,
-  // and duplicates. Results must match the per-key lookups.
+  // MultiGet over a sorted batch: present keys and duplicates. Results
+  // must match the entries the table was built from.
   std::vector<std::string> storage;
   for (int i = 0; i < 400; i += 5) {
     char key[16];
@@ -415,13 +401,10 @@ TEST_P(TableMatrixTest, MultiGetColdCacheCoalesces) {
   EXPECT_GT(counters_.coalesced_reads.load(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MmapByPin, TableMatrixTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
-      return std::string(std::get<0>(info.param) ? "Mmap" : "Pread") +
-             (std::get<1>(info.param) ? "Pinned" : "Unpinned");
-    });
+INSTANTIATE_TEST_SUITE_P(Mmap, TableMatrixTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Mmap" : "Pread");
+                         });
 
 }  // namespace
 }  // namespace lsmio::lsm

@@ -12,6 +12,7 @@
 #include "lsm/db.h"
 #include "lsm/value_log.h"
 #include "vfs/mem_vfs.h"
+#include "vfs/trace_vfs.h"
 
 namespace lsmio::lsm {
 namespace {
@@ -201,6 +202,43 @@ TEST_F(ValueLogDbTest, ThresholdZeroStoreWritesNoBlobFiles) {
   EXPECT_TRUE(BlobFiles(fs_, "/db").empty());
   EXPECT_EQ(db_->GetStats().value_log_segments, 0U);
   EXPECT_EQ(Get("k"), Value('x', 64 * KiB));
+}
+
+// Only a run of two or more pointers into one segment is hinted to the VFS
+// before it is read: a lone pointer reads exactly its record, so a hint
+// would only add a prefetch read and a copy.
+TEST(ValueLogHintTest, OnlyRunsOfTwoOrMorePointersAreHinted) {
+  vfs::MemVfs base;
+  vfs::TraceContext ctx(1);
+  vfs::TraceVfs fs(base, ctx, 0);
+  Options options;
+  options.vfs = &fs;
+  options.value_log_threshold = 64;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ASSERT_TRUE(db->Put({}, "big1", Value('x', KiB)).ok());
+  ASSERT_TRUE(db->Put({}, "big2", Value('y', KiB)).ok());
+  ASSERT_TRUE(db->Put({}, "small", "inline").ok());
+  const uint64_t hints = ctx.HintOps();
+
+  std::string value;
+  ASSERT_TRUE(db->Get({}, "big1", &value).ok());
+  EXPECT_EQ(value, Value('x', KiB));
+  EXPECT_EQ(ctx.HintOps(), hints);
+
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  const std::vector<Slice> one_pointer = {"big1", "small"};
+  ASSERT_TRUE(db->MultiGet({}, one_pointer, &values, &statuses).ok());
+  EXPECT_EQ(values[0], Value('x', KiB));
+  EXPECT_EQ(values[1], "inline");
+  EXPECT_EQ(ctx.HintOps(), hints);
+
+  const std::vector<Slice> two_pointers = {"big2", "big1"};
+  ASSERT_TRUE(db->MultiGet({}, two_pointers, &values, &statuses).ok());
+  EXPECT_EQ(values[0], Value('y', KiB));
+  EXPECT_EQ(values[1], Value('x', KiB));
+  EXPECT_EQ(ctx.HintOps(), hints + 1);
 }
 
 // GC scaffolding: leveled compaction on, small segments so overwritten

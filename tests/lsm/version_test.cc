@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "lsm/comparator.h"
+#include "lsm/log_writer.h"
 #include "lsm/table_cache.h"
 #include "vfs/mem_vfs.h"
 
@@ -137,6 +139,40 @@ TEST_F(VersionSetTest, ComparatorMismatchDetectedOnRecover) {
   VersionSet recovered("/db", options_, &weird_icmp, table_cache_.get());
   bool save_manifest = false;
   EXPECT_TRUE(recovered.Recover(&save_manifest).IsInvalidArgument());
+}
+
+// A CRC-valid manifest record whose blob-segment or blob-ref count promises
+// more entries than the record holds is corrupt: recovery must say so, not
+// size an allocation from the count.
+TEST_F(VersionSetTest, HugeBlobCountsAreCorruption) {
+  for (const bool huge_refs : {false, true}) {
+    const std::string dbname = huge_refs ? "/huge-refs" : "/huge-segments";
+    std::string record;
+    PutLengthPrefixedSlice(&record, icmp_.user_comparator()->Name());
+    PutVarint64(&record, 0);   // log number
+    PutVarint64(&record, 10);  // next file number
+    PutVarint64(&record, 0);   // last sequence
+    PutVarint32(&record, 0);   // levels
+    if (huge_refs) {
+      PutVarint32(&record, 0);           // blob segments
+      PutVarint32(&record, 1);           // files with refs
+      PutVarint64(&record, 7);           // file number
+      PutVarint32(&record, 0xFFFFFFFF);  // its refs
+    } else {
+      PutVarint32(&record, 0xFFFFFFFF);  // blob segments
+    }
+    std::unique_ptr<vfs::WritableFile> file;
+    ASSERT_TRUE(fs_.NewWritableFile(ManifestFileName(dbname, 1), {}, &file).ok());
+    log::Writer writer(file.get());
+    ASSERT_TRUE(writer.AddRecord(record).ok());
+    ASSERT_TRUE(file->Close().ok());
+    ASSERT_TRUE(
+        vfs::WriteStringToFile(fs_, CurrentFileName(dbname), "MANIFEST-000001\n").ok());
+
+    VersionSet recovered(dbname, options_, &icmp_, table_cache_.get());
+    bool save_manifest = false;
+    EXPECT_TRUE(recovered.Recover(&save_manifest).IsCorruption()) << dbname;
+  }
 }
 
 }  // namespace
