@@ -13,8 +13,8 @@
 #   ci/check.sh                 # run the default legs (lint, tsan, asan, shards)
 #   ci/check.sh --leg asan      # run exactly one leg
 #   ci/check.sh asan            # same (positional form kept for compat)
-# Legs: plain | lint | tsan | asan | shards | valuelog | bench | tail-latency |
-#       bench-files | bench-compare | all
+# Legs: plain | lint | tsan | asan | shards | valuelog | bench | bench-build |
+#       tail-latency | bench-files | bench-compare | all
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -202,6 +202,34 @@ PY
   PASS+=("$name")
 }
 
+# Builds the end-to-end benchmark through its own runner. lsmio_bench/
+# compiles src/ standalone through src/lsm/CMakeLists.txt and reads DbStats
+# fields by name, so a deleted source file or a renamed statistic breaks it
+# while the main build stays green. The self-test builds and runs the
+# benchmark's arithmetic tests; the lsmio_bench target is then built in the
+# same tree (build-ci/lsmio_bench).
+leg_bench_build() {
+  local name=bench-build
+  if ! command -v python3 >/dev/null 2>&1; then
+    note_skip "$name" "python3 not found (the benchmark runner is a Python script)"
+    return 0
+  fi
+  mkdir -p "$ROOT/build-ci"
+  echo
+  echo "=== [$name] lsmio_bench self-test and build ==="
+  if ! CARGO_TARGET_DIR=build-ci python3 "$ROOT/lsmio_bench/run.py" --self-test; then
+    FAIL+=("$name (self-test)")
+    return 1
+  fi
+  if ! cmake --build "$ROOT/build-ci/lsmio_bench" -j "$JOBS" --target lsmio_bench \
+       >"$ROOT/build-ci/lsmio_bench.build.log" 2>&1; then
+    tail -40 "$ROOT/build-ci/lsmio_bench.build.log" || true
+    FAIL+=("$name (build)")
+    return 1
+  fi
+  PASS+=("$name")
+}
+
 # Validates the bench_results/ filename scheme so stale artifacts cannot
 # accumulate under two names for the same bench again:
 #   * committed real measurements use bare names (concurrent_writers.json);
@@ -363,7 +391,7 @@ while [ "$#" -gt 0 ]; do
       shift
       ;;
     -h|--help)
-      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|tail-latency|bench-files|bench-compare]"
+      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|bench-build|tail-latency|bench-files|bench-compare]"
       exit 0
       ;;
     *)
@@ -383,6 +411,7 @@ for leg in "${LEGS[@]}"; do
     shards) leg_shards ;;
     valuelog) leg_valuelog ;;
     bench) leg_bench ;;
+    bench-build) leg_bench_build ;;
     tail-latency) leg_tail_latency ;;
     bench-files) leg_bench_files ;;
     bench-compare) leg_bench_compare ;;
@@ -394,7 +423,7 @@ for leg in "${LEGS[@]}"; do
       leg_valuelog
       ;;
     *)
-      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|tail-latency|bench-files|bench-compare]" >&2
+      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|bench-build|tail-latency|bench-files|bench-compare]" >&2
       exit 2
       ;;
   esac

@@ -44,10 +44,10 @@ struct LsmioOptions {
   uint64_t block_size = 4 * KiB;
 
   // --- write pipeline ---
-  /// Background threads shared by flush and compaction. The two are
-  /// scheduled independently, so with >= 2 threads a long compaction never
-  /// delays a flush; at most one flush runs at a time, preserving the
-  /// paper's single flushing thread (§3.1.2).
+  /// Sizes the flush pool (max(1, N) threads) and the separate compaction
+  /// pool (max(1, N - 1) threads), so a long compaction never delays a
+  /// flush; at most one flush runs at a time, preserving the paper's
+  /// single flushing thread (§3.1.2).
   int background_threads = 2;
   /// Total memtables (1 active + N-1 immutable queued for flush). Values
   /// > 2 let checkpoint bursts roll to a fresh buffer instead of stalling

@@ -1,6 +1,5 @@
 #include "core/manager.h"
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -23,46 +22,6 @@ void PackRemotePut(std::string* dst, int dest, const Slice& key, const Slice& va
 
 }  // namespace
 
-// Buffered remote puts live here (translation unit private, keyed by
-// manager instance) to keep the header free of container details.
-struct RemoteBuffer {
-  std::string packed;
-  uint64_t count = 0;
-};
-
-namespace {
-Mutex g_buffer_mu;
-std::map<const Manager*, RemoteBuffer>& Buffers() REQUIRES(g_buffer_mu) {
-  static std::map<const Manager*, RemoteBuffer> buffers;
-  return buffers;
-}
-/// Packs one routed put into the manager's buffer, entirely under the lock.
-/// (The previous shape returned a RemoteBuffer& from under the lock and let
-/// callers mutate it unlocked — a data race when application threads share a
-/// Manager.)
-void AppendRemotePut(const Manager* manager, int dest, const Slice& key,
-                     const Slice& value) {
-  MutexLock lock(&g_buffer_mu);
-  RemoteBuffer& buffer = Buffers()[manager];
-  PackRemotePut(&buffer.packed, dest, key, value);
-  ++buffer.count;
-}
-/// Removes and returns the manager's buffered puts (empty if none).
-RemoteBuffer TakeBufferFor(const Manager* manager) {
-  MutexLock lock(&g_buffer_mu);
-  auto& buffers = Buffers();
-  auto it = buffers.find(manager);
-  if (it == buffers.end()) return RemoteBuffer{};
-  RemoteBuffer taken = std::move(it->second);
-  buffers.erase(it);
-  return taken;
-}
-void DropBufferFor(const Manager* manager) {
-  MutexLock lock(&g_buffer_mu);
-  Buffers().erase(manager);
-}
-}  // namespace
-
 Status Manager::Open(const LsmioOptions& options, const std::string& path,
                      std::unique_ptr<Manager>* manager) {
   std::unique_ptr<Store> store;
@@ -70,8 +29,6 @@ Status Manager::Open(const LsmioOptions& options, const std::string& path,
   manager->reset(new Manager(options, std::move(store)));
   return Status::OK();
 }
-
-Manager::~Manager() { DropBufferFor(this); }
 
 int Manager::OwnerOf(const Slice& key) const {
   if (options_.comm == nullptr) return 0;
@@ -123,7 +80,10 @@ Status Manager::Put(const Slice& key, const Slice& value) {
   if (options_.collective_io && options_.comm != nullptr &&
       OwnerOf(key) != options_.comm->rank()) {
     // Route to the owner: buffered until the next CollectiveFence.
-    AppendRemotePut(this, OwnerOf(key), key, value);
+    {
+      MutexLock lock(&remote_mu_);
+      PackRemotePut(&remote_puts_, OwnerOf(key), key, value);
+    }
     MutexLock lock(&counters_mu_);
     ++counters_.remote_puts;
     ++counters_.puts;
@@ -199,8 +159,12 @@ Status Manager::CollectiveFence() {
   if (!options_.collective_io || options_.comm == nullptr) return Status::OK();
   minimpi::Comm& comm = *options_.comm;
 
-  const RemoteBuffer buffer = TakeBufferFor(this);
-  const std::vector<std::string> all = comm.Allgather(buffer.packed);
+  std::string mine;
+  {
+    MutexLock lock(&remote_mu_);
+    mine.swap(remote_puts_);
+  }
+  const std::vector<std::string> all = comm.Allgather(mine);
 
   // Apply entries destined to this rank.
   for (const std::string& packed : all) {

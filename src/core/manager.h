@@ -40,7 +40,6 @@ class Manager {
   static Status Open(const LsmioOptions& options, const std::string& path,
                      std::unique_ptr<Manager>* manager);
 
-  ~Manager();
   Manager(const Manager&) = delete;
   Manager& operator=(const Manager&) = delete;
 
@@ -112,6 +111,10 @@ class Manager {
   std::unique_ptr<Store> store_;  // unguarded: set once; Store is internally synchronized
   mutable Mutex counters_mu_;
   ManagerCounters counters_ GUARDED_BY(counters_mu_);
+  /// Routed puts (collective mode) packed until the next CollectiveFence
+  /// swaps them out for the exchange.
+  Mutex remote_mu_;
+  std::string remote_puts_ GUARDED_BY(remote_mu_);
 };
 
 }  // namespace lsmio

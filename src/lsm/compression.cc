@@ -95,13 +95,16 @@ Status LzLiteDecompress(const Slice& input, std::string* output) {
   if (!GetVarint64(&in, &expected)) {
     return Status::Corruption("lz-lite: bad length header");
   }
-  output->reserve(static_cast<size_t>(expected));
-
+  // The header is untrusted: nothing is allocated by it alone, and no token
+  // may grow the output past it.
   while (!in.empty()) {
     const char tag = in[0];
     in.remove_prefix(1);
     uint32_t len = 0;
     if (!GetVarint32(&in, &len)) return Status::Corruption("lz-lite: bad token length");
+    if (len > expected - output->size()) {
+      return Status::Corruption("lz-lite: token overruns the length header");
+    }
     if (tag == '\x00') {
       if (in.size() < len) return Status::Corruption("lz-lite: truncated literal");
       output->append(in.data(), len);

@@ -74,7 +74,7 @@ using StatValue = std::conditional_t<K == StatKind::kHistogram, Histogram, uint6
     "write groups admitted while pacing was active (the delay is zero if the bucket had drained)") \
   X(flush_queue_depth, kGaugeMax, "immutable memtables pending flush")                             \
   X(compaction_queue_depth, kGaugeMax,                                                             \
-    "compactions scheduled or running, including one parked on the store limiter")                 \
+    "compactions queued on the compaction pool or running (at most one per shard)")                \
   /* background I/O rate limiting (Options::bytes_per_sec), one limiter per store */               \
   X(rate_limited_bytes_flush, kSharedTotal, "flush bytes paced (high priority)")                   \
   X(rate_limited_bytes_compaction, kSharedTotal, "compaction bytes paced (low priority)")          \
@@ -96,7 +96,7 @@ using StatValue = std::conditional_t<K == StatKind::kHistogram, Histogram, uint6
   X(read_only_mode, kGaugeMax, "1 once a background error latched the engine read-only")           \
   /* sharding and compaction parallelism */                                                        \
   X(shards, kGaugeSum, "sub-LSMs of the store (1 per DBImpl)")                                     \
-  X(concurrent_compactions, kSharedTotal, "compactions executing now, store-wide")                 \
+  X(concurrent_compactions, kSharedTotal, "compactions executing now on the compaction pool")      \
   X(peak_concurrent_compactions, kSharedTotal, "high-water mark of concurrent_compactions")        \
   X(compaction_pipeline_batches, kCounter,                                                         \
     "entry batches handed from the compaction read/merge producer to the encode/write consumer")   \

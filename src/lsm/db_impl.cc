@@ -32,14 +32,24 @@ constexpr uint64_t kCompactionReadaheadBytes = 1 * MiB;
 
 }  // namespace
 
+Background::Background(const Options& options)
+    : flush(std::max(1, options.background_threads)) {
+  if (options.bytes_per_sec > 0) {
+    rate_limiter = std::make_unique<RateLimiter>(options.bytes_per_sec);
+  }
+  if (!options.disable_compaction && !options.read_only) {
+    compaction =
+        std::make_unique<ThreadPool>(std::max(1, options.background_threads - 1));
+  }
+}
+
 struct DBImpl::SnapshotImpl final : Snapshot {
   explicit SnapshotImpl(SequenceNumber s) : sequence(s) {}
   SequenceNumber sequence;
 };
 
 DBImpl::DBImpl(const Options& options, const std::string& dbname,
-               ThreadPool* shared_pool, CompactionLimiter* shared_limiter,
-               RateLimiter* shared_rate_limiter)
+               Background* shared_background)
     : options_(options),
       dbname_(dbname),
       internal_comparator_(options.comparator != nullptr ? options.comparator
@@ -63,26 +73,11 @@ DBImpl::DBImpl(const Options& options, const std::string& dbname,
   // The VersionSet is guarded by mu_; install it so every VersionSet entry
   // point can debug-assert the cross-object lock contract.
   versions_->SetOwnerMutex(&mu_);
-  if (shared_limiter != nullptr) {
-    limiter_ = shared_limiter;
-  } else {
-    owned_limiter_ =
-        std::make_unique<CompactionLimiter>(EffectiveCompactionCap(options_));
-    limiter_ = owned_limiter_.get();
+  if (shared_background == nullptr) {
+    owned_background_ = std::make_unique<Background>(options_);
+    shared_background = owned_background_.get();
   }
-  if (shared_pool != nullptr) {
-    bg_pool_ = shared_pool;
-  } else {
-    owned_bg_pool_ =
-        std::make_unique<ThreadPool>(std::max(1, options_.background_threads));
-    bg_pool_ = owned_bg_pool_.get();
-  }
-  if (shared_rate_limiter != nullptr) {
-    rate_limiter_ = shared_rate_limiter;
-  } else if (options_.bytes_per_sec > 0) {
-    owned_rate_limiter_ = std::make_unique<RateLimiter>(options_.bytes_per_sec);
-    rate_limiter_ = owned_rate_limiter_.get();
-  }
+  background_ = shared_background;
 }
 
 DBImpl::~DBImpl() {
@@ -102,10 +97,7 @@ DBImpl::~DBImpl() {
       bg_cv_.Wait();
     }
   }
-  // Drop any parked retry callback and wait out an in-flight dispatch, so
-  // the (possibly shared) limiter cannot call back into a dead object.
-  limiter_->Cancel(this);
-  if (owned_bg_pool_ != nullptr) owned_bg_pool_->Shutdown();
+  owned_background_.reset();  // joins the pools of a standalone DB
   if (mem_ != nullptr) mem_->Unref();
   for (MemTable* imm : imm_queue_) imm->Unref();
   if (logfile_ != nullptr) {
@@ -620,7 +612,7 @@ void DBImpl::RequestArbiterFlush() {
   // Must not block: the pool invokes this under its own mutex.
   arbiter_switch_requested_.store(true, std::memory_order_release);
   if (!arbiter_task_pending_.exchange(true, std::memory_order_acq_rel)) {
-    bg_pool_->Submit([this] { ArbiterFlushCall(); });
+    background_->flush.Submit([this] { ArbiterFlushCall(); });
   }
 }
 
@@ -884,10 +876,8 @@ Status DBImpl::CompactRange(const Slice* begin, const Slice* end) {
   manual_end_ = end != nullptr ? end->ToString() : std::string();
   const uint64_t target_gen = manual_done_gen_ + 1;
   MaybeScheduleCompaction();
-  // Wait for this request's completion generation, not just a flag: the
-  // compaction may be parked on the store-wide limiter before it is ever
-  // "scheduled", and another caller may re-arm the flag right after ours
-  // completes.
+  // Wait for this request's completion generation, not just a flag: another
+  // caller may re-arm the flag right after ours completes.
   while (manual_done_gen_ < target_gen && bg_error_.ok()) bg_cv_.Wait();
   // Clear on the error path too, so a failed manual compaction cannot
   // wedge later calls.
@@ -908,35 +898,18 @@ void DBImpl::MaybeScheduleFlush() {
   if (!bg_error_.ok()) return;
   if (imm_queue_.empty()) return;
   flush_scheduled_ = true;
-  bg_pool_->Submit([this] { BackgroundFlushCall(); });
+  background_->flush.Submit([this] { BackgroundFlushCall(); });
 }
 
 void DBImpl::MaybeScheduleCompaction() {
-  if (compaction_scheduled_ || compaction_waiting_ || shutting_down_.load()) {
-    return;
-  }
+  if (compaction_scheduled_ || shutting_down_.load()) return;
   if (!bg_error_.ok()) return;  // read-only: see MaybeScheduleFlush
   if (!NeedsCompaction() && !manual_compaction_requested_) return;
-  // Take a slot on the store-wide limiter before submitting: this is what
-  // caps concurrent compactions across the shards of a sharded store and
-  // keeps one hot shard from occupying every pool thread. When the slots
-  // are full we park a retry and are re-dispatched FIFO as one frees up.
-  if (!limiter_->TryStart(this, [this] { RetryCompactionSchedule(); })) {
-    compaction_waiting_ = true;
-    return;
-  }
+  // At most one compaction per shard is queued or running; the compaction
+  // pool's size caps them store-wide and its FIFO queue serves the shards
+  // in turn.
   compaction_scheduled_ = true;
-  bg_pool_->Submit([this] { BackgroundCompactionCall(); });
-}
-
-void DBImpl::RetryCompactionSchedule() {
-  MutexLock lock(&mu_);
-  compaction_waiting_ = false;
-  MaybeScheduleCompaction();
-  // A CompactRange caller may be parked while its request waited for a
-  // limiter slot; if scheduling is no longer possible (shutdown/read-only)
-  // it must wake up and observe that.
-  bg_cv_.SignalAll();
+  background_->compaction->Submit([this] { BackgroundCompactionCall(); });
 }
 
 bool DBImpl::NeedsCompaction() const {
@@ -1004,9 +977,13 @@ void DBImpl::BackgroundCompactionCall() {
   if (!shutting_down_.load() && bg_error_.ok()) {
     const bool manual = manual_compaction_requested_;
     lock.Unlock();
-    limiter_->BeginExecute();
+    const uint64_t running = ++background_->compactions_running;
+    uint64_t peak = background_->peak_compactions_running.load();
+    while (peak < running &&
+           !background_->peak_compactions_running.compare_exchange_weak(peak, running)) {
+    }
     const Status s = BackgroundCompaction();
-    limiter_->EndExecute();
+    --background_->compactions_running;
     lock.Lock();
     if (manual) {
       manual_compaction_requested_ = false;
@@ -1014,13 +991,6 @@ void DBImpl::BackgroundCompactionCall() {
     }
     if (!s.ok()) RecordBackgroundError(s);
   }
-
-  // Release the limiter slot before clearing compaction_scheduled_: the
-  // destructor waits on that flag, so the object is guaranteed alive for
-  // the Finish call (which may dispatch other shards' retries).
-  lock.Unlock();
-  limiter_->Finish();
-  lock.Lock();
 
   compaction_scheduled_ = false;
   MaybeScheduleCompaction();
@@ -1045,7 +1015,8 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
                           MutexLock lock(&mu_);
                           return NewOutputNumber();
                         },
-                        rate_limiter_, RateLimiter::Priority::kHigh, /*roll=*/false);
+                        background_->rate_limiter.get(), RateLimiter::Priority::kHigh,
+                        /*roll=*/false);
   std::unique_ptr<Iterator> iter(imm->NewIterator());
   Status s = out.AddAll(iter.get());
   // The table's pointer entries may reference blob bytes no sync barrier
@@ -1256,7 +1227,8 @@ Status DBImpl::CompactFiles(int level,
                           MutexLock lock(&mu_);
                           return NewOutputNumber();
                         },
-                        rate_limiter_, RateLimiter::Priority::kLow, /*roll=*/true);
+                        background_->rate_limiter.get(), RateLimiter::Priority::kLow,
+                        /*roll=*/true);
   // Per-segment record bytes this compaction turned into garbage (entries
   // dropped or relocated); applied to the value log's live accounting in
   // the same install as the manifest record.
@@ -1656,19 +1628,17 @@ DbStats DBImpl::GetStats() const {
   DbStats stats = stats_;
   stats.read_only_mode = bg_error_.ok() ? 0 : 1;
   stats.flush_queue_depth = imm_queue_.size();
-  stats.compaction_queue_depth =
-      (compaction_scheduled_ ? 1 : 0) + (compaction_waiting_ ? 1 : 0);
+  stats.compaction_queue_depth = compaction_scheduled_ ? 1 : 0;
   stats.shards = 1;
-  // A ShardedDB's shards share one compaction limiter and one rate limiter,
-  // so each shard reports their store-wide values (kSharedTotal).
-  stats.concurrent_compactions = limiter_->executing();
-  stats.peak_concurrent_compactions = limiter_->peak_executing();
-  if (rate_limiter_ != nullptr) {
-    stats.rate_limited_bytes_flush =
-        rate_limiter_->bytes_through(RateLimiter::Priority::kHigh);
+  // A ShardedDB's shards share one Background, so each shard reports its
+  // store-wide values (kSharedTotal).
+  stats.concurrent_compactions = background_->compactions_running.load();
+  stats.peak_concurrent_compactions = background_->peak_compactions_running.load();
+  if (const RateLimiter* limiter = background_->rate_limiter.get(); limiter != nullptr) {
+    stats.rate_limited_bytes_flush = limiter->bytes_through(RateLimiter::Priority::kHigh);
     stats.rate_limited_bytes_compaction =
-        rate_limiter_->bytes_through(RateLimiter::Priority::kLow);
-    stats.rate_limiter_wait_micros = rate_limiter_->wait_micros();
+        limiter->bytes_through(RateLimiter::Priority::kLow);
+    stats.rate_limiter_wait_micros = limiter->wait_micros();
   }
   write_latency_rec_.MergeTo(&stats.write_latency);
   get_latency_rec_.MergeTo(&stats.get_latency);

@@ -2,10 +2,10 @@
 // LevelDB/RocksDB-style group-commit queue: concurrent writers line up,
 // the front writer merges the pending batches and performs one WAL
 // append/sync for the whole group with the mutex released. Memtables roll
-// into a queue of immutables (max_write_buffer_number) flushed by a
-// background thread; flush and compaction are scheduled independently so
-// a long compaction never blocks a flush. Leveled compaction can be
-// disabled entirely (paper mode: flushes accumulate as L0 files).
+// into a queue of immutables (max_write_buffer_number) flushed on a flush
+// pool; compactions run on a separate compaction pool, so a long
+// compaction never blocks a flush. Leveled compaction can be disabled
+// entirely (paper mode: flushes accumulate as L0 files).
 #pragma once
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "common/rate_limiter.h"
 #include "common/synchronization.h"
 #include "common/thread_pool.h"
-#include "lsm/compaction_limiter.h"
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
 #include "lsm/log_writer.h"
@@ -37,18 +36,39 @@ namespace lsmio::lsm {
 
 class FilterPolicy;
 
+/// The background executors of one store. Memtable flushes and
+/// ArbiterFlushCall run on `flush`, max(1, background_threads) threads.
+/// Compactions run on `compaction`, max(1, background_threads - 1)
+/// threads: the pool's size is the store-wide cap on concurrent
+/// compactions, and its FIFO queue together with each DB's
+/// compaction_scheduled_ flag runs at most one compaction per shard and
+/// serves the shards in turn. A store that can never compact
+/// (disable_compaction or read_only) starts no compaction thread. A
+/// ShardedDB owns one and lends it to its shards; a standalone DBImpl owns
+/// its own. Every member is internally synchronized.
+struct Background {
+  explicit Background(const Options& options);
+
+  /// Background-I/O byte budget (Options::bytes_per_sec); null = unlimited.
+  /// Charged outside any DB mutex by flush and compaction writers.
+  std::unique_ptr<RateLimiter> rate_limiter;
+  /// Compactions executing now and their high-water mark.
+  std::atomic<uint64_t> compactions_running{0};
+  std::atomic<uint64_t> peak_compactions_running{0};
+  // The pools come last, so their threads are joined before the members
+  // above are destroyed.
+  ThreadPool flush;
+  std::unique_ptr<ThreadPool> compaction;  // null when the store never compacts
+};
+
 class DBImpl final : public DB {
  public:
-  /// `shared_pool`/`shared_limiter`/`shared_rate_limiter` let a ShardedDB
-  /// run several DBImpl sub-LSMs on one background executor with one
-  /// store-wide compaction concurrency cap and one store-wide background-
-  /// I/O byte budget; all must outlive this object. When null (the
-  /// standalone single-LSM case) the DBImpl owns private instances — the
-  /// rate limiter only when Options::bytes_per_sec > 0.
+  /// `shared_background` lets a ShardedDB run its DBImpl sub-LSMs on one
+  /// set of pools with one store-wide compaction cap and byte budget; it
+  /// must outlive this object. When null (the standalone single-LSM case)
+  /// the DBImpl owns its own.
   DBImpl(const Options& options, const std::string& dbname,
-         ThreadPool* shared_pool = nullptr,
-         CompactionLimiter* shared_limiter = nullptr,
-         RateLimiter* shared_rate_limiter = nullptr);
+         Background* shared_background = nullptr);
   ~DBImpl() override;
 
   Status Put(const WriteOptions& options, const Slice& key, const Slice& value) override;
@@ -149,8 +169,6 @@ class DBImpl final : public DB {
 
   void MaybeScheduleFlush() REQUIRES(mu_);
   void MaybeScheduleCompaction() REQUIRES(mu_);
-  /// Limiter callback: a compaction slot freed up, re-attempt scheduling.
-  void RetryCompactionSchedule() EXCLUDES(mu_);
   void BackgroundFlushCall() EXCLUDES(mu_);
   void BackgroundCompactionCall() EXCLUDES(mu_);
   /// File number for a new table output, added to pending_outputs_ (the
@@ -281,9 +299,6 @@ class DBImpl final : public DB {
   WriteBatch tmp_vlog_batch_;  // unguarded: leader-owned scratch for separated groups
   bool flush_scheduled_ GUARDED_BY(mu_) = false;
   bool compaction_scheduled_ GUARDED_BY(mu_) = false;
-  /// Set when MaybeScheduleCompaction lost the race for a limiter slot;
-  /// cleared by RetryCompactionSchedule when the limiter re-dispatches us.
-  bool compaction_waiting_ GUARDED_BY(mu_) = false;
   bool manual_compaction_requested_ GUARDED_BY(mu_) = false;
   // Manual (CompactRange) state: the requested user-key range, and a
   // completion generation counter so overlapping CompactRange callers each
@@ -304,7 +319,7 @@ class DBImpl final : public DB {
   /// leader in MakeRoomForWrite or by ArbiterFlushCall on idle stores, and
   /// cleared by every SwitchMemTable, whatever its cause.
   std::atomic<bool> arbiter_switch_requested_{false};
-  /// True while an ArbiterFlushCall is queued/running on bg_pool_; the
+  /// True while an ArbiterFlushCall is queued/running on the flush pool; the
   /// destructor waits it out (cleared under mu_, signalled via bg_cv_).
   std::atomic<bool> arbiter_task_pending_{false};
 
@@ -316,28 +331,11 @@ class DBImpl final : public DB {
   std::list<const SnapshotImpl*> snapshots_ GUARDED_BY(mu_);
   DbStats stats_ GUARDED_BY(mu_);
 
-  // Background executor + compaction concurrency cap. Either shared (a
-  // ShardedDB passes its store-wide instances, which outlive every shard)
-  // or privately owned; the raw pointers below are what the code uses.
-  // Owned instances are created last / destroyed first. All unguarded:
-  // set once in Initialize, each internally synchronized.
-  ThreadPool* bg_pool_ = nullptr;
-  CompactionLimiter* limiter_ = nullptr;  // unguarded: see bg_pool_
-  /// Background-I/O byte budget (Options::bytes_per_sec); null = unlimited.
-  /// Shared across a ShardedDB's sub-LSMs, else privately owned. The
-  /// RateLimiter is internally synchronized — charged outside mu_ by
-  /// flush/compaction writer threads. unguarded: see bg_pool_.
-  RateLimiter* rate_limiter_ = nullptr;
-  std::unique_ptr<RateLimiter> owned_rate_limiter_;   // unguarded: see bg_pool_
-  std::unique_ptr<CompactionLimiter> owned_limiter_;  // unguarded: see bg_pool_
-  std::unique_ptr<ThreadPool> owned_bg_pool_;         // unguarded: see bg_pool_
+  /// The store's pools, rate limiter and compaction gauges: a ShardedDB's,
+  /// which outlives every shard, or owned_background_. unguarded: set in
+  /// the constructor; internally synchronized.
+  Background* background_ = nullptr;
+  std::unique_ptr<Background> owned_background_;  // unguarded: see background_
 };
-
-/// The compaction concurrency cap for `options`: max(1,
-/// background_threads - 1), so one pool thread stays free for memtable
-/// flushes.
-inline int EffectiveCompactionCap(const Options& options) {
-  return std::max(1, options.background_threads - 1);
-}
 
 }  // namespace lsmio::lsm

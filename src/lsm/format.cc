@@ -49,27 +49,11 @@ Status Footer::DecodeFrom(Slice* input) {
 
 Status DecodeBlockContents(const Slice& raw, const ReadOptions& options,
                            bool always_verify, std::string* contents) {
-  if (raw.size() < kBlockTrailerSize) {
-    return Status::Corruption("truncated block read");
-  }
-  const size_t n = raw.size() - kBlockTrailerSize;
-  const char* data = raw.data();
-  if (options.verify_checksums || always_verify) {
-    const uint32_t expected = crc32c::Unmask(DecodeFixed32(data + n + 1));
-    const uint32_t actual = crc32c::Value(data, n + 1);
-    if (actual != expected) {
-      return Status::Corruption("block checksum mismatch");
-    }
-  }
-
-  switch (static_cast<CompressionType>(data[n])) {
-    case CompressionType::kNone:
-      contents->assign(data, n);
-      return Status::OK();
-    case CompressionType::kLzLite:
-      return LzLiteDecompress(Slice(data, n), contents);
-  }
-  return Status::Corruption("unknown block compression type");
+  Slice view;
+  LSMIO_RETURN_IF_ERROR(DecodeBlockView(raw, options, always_verify, contents, &view));
+  // A decompressed block is already in *contents; a stored one is in raw.
+  if (view.data() != contents->data()) contents->assign(view.data(), view.size());
+  return Status::OK();
 }
 
 Status DecodeBlockView(const Slice& raw, const ReadOptions& options,
@@ -79,7 +63,10 @@ Status DecodeBlockView(const Slice& raw, const ReadOptions& options,
   }
   const size_t n = raw.size() - kBlockTrailerSize;
   const char* data = raw.data();
-  if (options.verify_checksums || always_verify) {
+  const auto type = static_cast<CompressionType>(data[n]);
+  // A compressed block's checksum is always verified, so the decompressor
+  // never parses bytes the checksum does not vouch for.
+  if (options.verify_checksums || always_verify || type == CompressionType::kLzLite) {
     const uint32_t expected = crc32c::Unmask(DecodeFixed32(data + n + 1));
     const uint32_t actual = crc32c::Value(data, n + 1);
     if (actual != expected) {
@@ -87,7 +74,7 @@ Status DecodeBlockView(const Slice& raw, const ReadOptions& options,
     }
   }
 
-  switch (static_cast<CompressionType>(data[n])) {
+  switch (type) {
     case CompressionType::kNone:
       *view = Slice(data, n);
       return Status::OK();

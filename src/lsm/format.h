@@ -60,8 +60,9 @@ inline constexpr uint64_t kTableMagicNumber = 0x4c534d494f2023ULL;  // "LSMIO #"
 inline constexpr size_t kBlockTrailerSize = 5;
 
 /// Reads the block identified by `handle` from file, verifying the CRC when
-/// `verify_checksums` and decompressing as needed. On success *contents
-/// holds the uncompressed block bytes.
+/// `verify_checksums` or `always_verify` is set or the block is compressed,
+/// and decompressing as needed. On success *contents holds the uncompressed
+/// block bytes.
 Status ReadBlockContents(vfs::RandomAccessFile* file, const ReadOptions& options,
                          bool always_verify, const BlockHandle& handle,
                          std::string* contents);

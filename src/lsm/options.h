@@ -121,13 +121,13 @@ struct Options {
   /// Target file size for compaction outputs.
   uint64_t target_file_size = 8 * MiB;
 
-  /// Number of background threads shared by flush and compaction work.
-  /// Flushes and compactions are scheduled independently, so with >= 2
-  /// threads a long compaction never delays a memtable flush. The paper
-  /// configures a single *flushing* thread (§3.1.2); at most one flush
-  /// runs at a time regardless of this value. Compactions across all
-  /// shards of a store are capped at max(1, background_threads - 1), so
-  /// one thread stays free for flushes.
+  /// Sizes the store's two background pools: memtable flushes run on
+  /// max(1, background_threads) threads, compactions on a separate pool of
+  /// max(1, background_threads - 1) threads, which caps concurrent
+  /// compactions across all shards of a store. A long compaction therefore
+  /// never delays a flush. The paper configures a single *flushing* thread
+  /// (§3.1.2); each DB runs at most one flush at a time regardless of this
+  /// value. A store that never compacts starts no compaction thread.
   int background_threads = 1;
 
   // --- sharding -------------------------------------------------------------

@@ -67,20 +67,11 @@ ShardedDB::ShardedDB(const Options& options, const std::string& name)
       dbname_(name),
       user_comparator_(options.comparator != nullptr ? options.comparator
                                                      : BytewiseComparator()),
-      limiter_(std::make_unique<CompactionLimiter>(
-          EffectiveCompactionCap(options))),
-      rate_limiter_(options.bytes_per_sec > 0
-                        ? std::make_unique<RateLimiter>(options.bytes_per_sec)
-                        : nullptr),
-      bg_pool_(std::make_unique<ThreadPool>(
-          std::max(1, options.background_threads))) {}
+      background_(options) {}
 
-ShardedDB::~ShardedDB() {
-  // Shards drain their background work in their destructors (the shared
-  // pool and limiter outlive them, see member order); then stop the pool.
-  shards_.clear();
-  bg_pool_->Shutdown();
-}
+// Shards drain their background work in their destructors; background_
+// outlives them (see member order).
+ShardedDB::~ShardedDB() = default;
 
 vfs::Vfs& ShardedDB::fs() const {
   return options_.vfs != nullptr ? *options_.vfs : vfs::PosixVfs();
@@ -135,11 +126,8 @@ Status ShardedDB::Open(const Options& options, const std::string& name,
     // The marker above already arbitrated existence for the whole store.
     shard_options.error_if_exists = false;
     shard_options.create_if_missing = !options.read_only;
-    auto impl = std::make_unique<DBImpl>(shard_options,
-                                         ShardDirName(name, shard),
-                                         db->bg_pool_.get(),
-                                         db->limiter_.get(),
-                                         db->rate_limiter_.get());
+    auto impl = std::make_unique<DBImpl>(shard_options, ShardDirName(name, shard),
+                                         &db->background_);
     LSMIO_RETURN_IF_ERROR(impl->Initialize());
     db->shards_.push_back(std::move(impl));
   }
@@ -328,11 +316,11 @@ Status ShardedDB::FlushMemTable(bool wait) {
 }
 
 Status ShardedDB::CompactRange(const Slice* begin, const Slice* end) {
-  // One thread per shard, NOT the background pool: each shard's
-  // CompactRange blocks until pool workers finish its compaction, so
-  // running the waiters on the pool itself could deadlock. Shards whose
-  // files don't overlap [begin, end] return immediately; the rest compact
-  // concurrently, bounded by the store-wide limiter.
+  // One thread per shard, NOT a background pool: each shard's
+  // CompactRange blocks until the compaction pool finishes its compaction,
+  // so running the waiters on a pool could deadlock. Shards whose files
+  // don't overlap [begin, end] return immediately; the rest compact
+  // concurrently, bounded by the compaction pool's size.
   std::vector<Status> results(shards_.size());
   std::vector<std::thread> threads;
   threads.reserve(shards_.size());

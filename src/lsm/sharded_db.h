@@ -12,10 +12,9 @@
 // fsyncs); MultiGet partitions the batch and scatters results back;
 // iterators merge the per-shard iterators with the user comparator (the
 // shards hold disjoint keys, so no dedup is needed). Flushes and
-// compactions from different shards run concurrently on one shared
-// background pool, with a store-wide CompactionLimiter capping concurrent
-// compactions (fairness: each shard runs at most one, so a hot shard can
-// never starve the rest).
+// compactions from different shards run concurrently on the store's one
+// Background: its compaction pool's size caps concurrent compactions, and
+// each shard runs at most one, so a hot shard can never starve the rest.
 //
 // The shard count is fixed at creation (recorded in SHARDS); reopening
 // with a different num_shards fails with InvalidArgument, in both
@@ -31,8 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
-#include "lsm/compaction_limiter.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
 
@@ -95,13 +92,9 @@ class ShardedDB final : public DB {
   const Comparator* user_comparator_;
 
   // Destruction order (reverse of declaration): shards_ first — each
-  // shard's destructor drains its background work, which needs the pool,
-  // limiter and rate limiter alive — then the pool, then the limiters.
-  std::unique_ptr<CompactionLimiter> limiter_;
-  /// Store-wide background-I/O byte budget shared by every shard's flushes
-  /// and compactions; null when Options::bytes_per_sec == 0 (unlimited).
-  std::unique_ptr<RateLimiter> rate_limiter_;
-  std::unique_ptr<ThreadPool> bg_pool_;
+  // shard's destructor drains its background work, which needs the pools
+  // alive — then the pools, which join their threads.
+  Background background_;
   std::vector<std::unique_ptr<DBImpl>> shards_;
 };
 

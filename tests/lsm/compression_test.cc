@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/random.h"
 
 namespace lsmio::lsm {
@@ -111,6 +112,30 @@ TEST(LzLiteTest, DecompressDetectsLengthMismatch) {
   compressed[0] = '\x05';
   std::string output;
   EXPECT_TRUE(LzLiteDecompress(compressed, &output).IsCorruption());
+}
+
+TEST(LzLiteTest, HugeLengthHeaderIsCorruption) {
+  // A 2^40-byte length header over a one-byte literal: nothing may be
+  // allocated on the header's word alone.
+  std::string bad;
+  PutVarint64(&bad, uint64_t{1} << 40);
+  bad.append("\x00\x01x", 3);  // literal of length 1
+  std::string output;
+  EXPECT_TRUE(LzLiteDecompress(bad, &output).IsCorruption());
+}
+
+TEST(LzLiteTest, CopyPastLengthHeaderIsCorruption) {
+  // Header 8, a 4-byte literal, then a copy of 1000 bytes: the copy would
+  // grow the output past the header, so it fails before copying anything.
+  std::string bad;
+  bad.push_back('\x08');
+  bad.append("\x00\x04" "abcd", 6);
+  bad.push_back('\x01');
+  PutVarint32(&bad, 1000);  // len
+  bad.push_back('\x04');    // distance
+  std::string output;
+  EXPECT_TRUE(LzLiteDecompress(bad, &output).IsCorruption());
+  EXPECT_LE(output.size(), 8u);
 }
 
 }  // namespace

@@ -235,13 +235,18 @@ class SlowTableVfs final : public vfs::Vfs {
   std::atomic<int> delay_us_{0};
 };
 
-// With two background threads, a memtable flush must complete while a
-// manual compaction over many L0 files is still in flight.
-TEST_F(DbConcurrencyTest, FlushProceedsDuringManualCompaction) {
+// Flushes and compactions run on separate pools, so at every
+// background_threads setting a memtable flush must complete while a manual
+// compaction over many L0 files is still in flight.
+class FlushDuringCompactionTest : public DbConcurrencyTest,
+                                  public ::testing::WithParamInterface<int> {};
+
+TEST_P(FlushDuringCompactionTest, FlushProceedsDuringManualCompaction) {
   vfs::MemVfs mem;
   SlowTableVfs slow(mem);
   Options options = BaseOptions();
   options.vfs = &slow;
+  options.background_threads = GetParam();
   options.disable_compaction = false;
   options.l0_compaction_trigger = 100;  // only manual compaction runs
   options.l0_stop_writes_trigger = 100;
@@ -275,6 +280,7 @@ TEST_F(DbConcurrencyTest, FlushProceedsDuringManualCompaction) {
   EXPECT_TRUE(flush_status.ok()) << flush_status.ToString();
   const DbStats mid = db_->GetStats();
   EXPECT_GE(mid.memtable_flushes, 7u);
+  EXPECT_EQ(mid.compactions, 0u);  // installed while the compaction still ran
 
   compactor.join();
   EXPECT_GE(db_->GetStats().compactions, 1u);
@@ -284,9 +290,14 @@ TEST_F(DbConcurrencyTest, FlushProceedsDuringManualCompaction) {
   db_.reset();  // before the local vfs stack unwinds
 }
 
+INSTANTIATE_TEST_SUITE_P(BackgroundThreads, FlushDuringCompactionTest, ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "Threads" + std::to_string(info.param);
+                         });
+
 // Two shards' manual compactions must overlap in time: with
-// background_threads=4 the store-wide limiter admits up to three
-// concurrent compactions, and the slowed table writes keep each shard's
+// background_threads=4 the compaction pool runs up to three compactions
+// at once, and the slowed table writes keep each shard's
 // compaction in its execute window long enough for the
 // peak_concurrent_compactions gauge to observe both at once.
 TEST_F(DbConcurrencyTest, ShardCompactionsRunConcurrently) {

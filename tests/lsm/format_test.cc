@@ -142,6 +142,14 @@ TEST_F(ReadBlockTest, ChecksumMismatchDetected) {
   EXPECT_TRUE(Read(handle, false, &out).ok());
 }
 
+TEST_F(ReadBlockTest, CompressedBlockChecksumAlwaysVerified) {
+  const BlockHandle handle =
+      WriteBlock(std::string(5000, 'z'), CompressionType::kLzLite, /*corrupt_crc=*/true);
+  std::string out;
+  // The decompressor never sees a block its checksum does not vouch for.
+  EXPECT_TRUE(Read(handle, false, &out).IsCorruption());
+}
+
 TEST_F(ReadBlockTest, TruncatedReadDetected) {
   const BlockHandle good = WriteBlock("payload", CompressionType::kNone);
   BlockHandle past_eof;
