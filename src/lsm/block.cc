@@ -51,7 +51,9 @@ const char* DecodeEntry(const char* p, const char* limit, uint32_t* shared,
     if ((p = GetVarint32Ptr(p, limit, non_shared)) == nullptr) return nullptr;
     if ((p = GetVarint32Ptr(p, limit, value_length)) == nullptr) return nullptr;
   }
-  if (static_cast<uint32_t>(limit - p) < (*non_shared + *value_length)) {
+  // 64-bit sum: the two 32-bit lengths must not wrap past the bound.
+  if (static_cast<uint64_t>(limit - p) <
+      static_cast<uint64_t>(*non_shared) + *value_length) {
     return nullptr;
   }
   return p;

@@ -58,9 +58,12 @@ FilterBlockReader::FilterBlockReader(const FilterPolicy* policy,
     : policy_(policy) {
   const size_t n = contents.size();
   if (n < 5) return;  // 4-byte array offset + 1-byte base_lg at minimum
-  base_lg_ = static_cast<unsigned char>(contents[n - 1]);
+  const size_t base_lg = static_cast<unsigned char>(contents[n - 1]);
   const uint32_t array_offset = DecodeFixed32(contents.data() + n - 5);
-  if (array_offset > n - 5) return;
+  // A shift of 64 or more is undefined: treat it as malformed, like a bad
+  // array offset.
+  if (base_lg >= 64 || array_offset > n - 5) return;
+  base_lg_ = base_lg;
   data_ = contents.data();
   offset_ = data_ + array_offset;
   num_ = (n - 5 - array_offset) / 4;

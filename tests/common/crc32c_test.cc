@@ -4,9 +4,24 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
+
+#include "common/random.h"
 
 namespace lsmio::crc32c {
 namespace {
+
+// Bit-at-a-time CRC32C, straight from the definition.
+uint32_t ReferenceExtend(uint32_t init_crc, const char* data, size_t n) {
+  uint32_t crc = ~init_crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0x82f63b78u & (0u - (crc & 1)));
+    }
+  }
+  return ~crc;
+}
 
 TEST(Crc32cTest, StandardVectors) {
   // Known CRC32C test vectors (RFC 3720 / iSCSI).
@@ -53,6 +68,37 @@ TEST(Crc32cTest, UnalignedInputsConsistent) {
   const uint32_t reference = Value(data.data() + 1, 333);
   std::string copy = data.substr(1, 333);
   EXPECT_EQ(Value(copy.data(), copy.size()), reference);
+}
+
+TEST(Crc32cTest, KernelsAgreeWithDefinition) {
+  // Every length up to 64, then each side of the 3 x 256 B and 3 x 8 KiB
+  // stripe groups, and a 64 KiB block with its 5-byte trailer.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {767, 768, 769, 24575, 24576, 24577, 65541});
+  Rng rng(301);
+  std::vector<uint64_t> words(65541 / 8 + 2);  // 8-byte aligned backing
+  char* const base = reinterpret_cast<char*>(words.data());
+  rng.Fill(base, words.size() * sizeof(uint64_t));
+  for (const size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const char* data = base + offset;
+      const auto init = static_cast<uint32_t>(rng.Next());
+      const uint32_t expected = ReferenceExtend(init, data, n);
+      EXPECT_EQ(Extend(init, data, n), expected) << "n=" << n << " offset=" << offset;
+      EXPECT_EQ(internal::ExtendPortable(init, data, n), expected)
+          << "n=" << n << " offset=" << offset;
+    }
+  }
+}
+
+TEST(Crc32cTest, HardwareKernelChosenWhenCpuHasIt) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) EXPECT_TRUE(HardwareAccelerated());
+#else
+  EXPECT_FALSE(HardwareAccelerated());
+#endif
 }
 
 TEST(Crc32cTest, EmptyInput) {

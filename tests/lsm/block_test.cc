@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "lsm/block_builder.h"
 #include "lsm/comparator.h"
@@ -117,11 +118,26 @@ TEST(BlockTest, SeekEveryKeyWithVariousRestartIntervals) {
 }
 
 TEST(BlockTest, MalformedBlockYieldsErrorIterator) {
-  Block block(std::string("xx", 2));  // too short for the restart count
-  std::unique_ptr<Iterator> iter(block.NewIterator(BytewiseComparator()));
-  iter->SeekToFirst();
-  EXPECT_FALSE(iter->Valid());
-  EXPECT_TRUE(iter->status().IsCorruption());
+  // One entry with shared 0, non_shared 0xFFFFFFFF and value_length 1: the
+  // two lengths sum to 0 in 32 bits, then restart[0] = 0 and one restart.
+  std::string wrapping_lengths("\x00\xff\xff\xff\xff\x0f\x01", 7);
+  PutFixed32(&wrapping_lengths, 0);
+  PutFixed32(&wrapping_lengths, 1);
+  const std::string inputs[] = {
+      std::string("xx", 2),  // too short for the restart count
+      wrapping_lengths,
+  };
+  for (const std::string& contents : inputs) {
+    Block block(contents);
+    std::unique_ptr<Iterator> iter(block.NewIterator(BytewiseComparator()));
+    iter->SeekToFirst();
+    EXPECT_FALSE(iter->Valid()) << contents.size() << "-byte block";
+    EXPECT_TRUE(iter->status().IsCorruption()) << contents.size() << "-byte block";
+    iter.reset(block.NewIterator(BytewiseComparator()));
+    iter->Seek("k");
+    EXPECT_FALSE(iter->Valid()) << contents.size() << "-byte block";
+    EXPECT_TRUE(iter->status().IsCorruption()) << contents.size() << "-byte block";
+  }
 }
 
 TEST(BlockBuilderTest, ResetAllowsReuse) {

@@ -117,6 +117,22 @@ TEST(FilterBlockTest, MalformedContentsFailOpen) {
   FilterBlockReader reader(policy.get(), Slice("xx", 2));
   // Broken filter must not produce false negatives: fail open.
   EXPECT_TRUE(reader.KeyMayMatch(0, "anything"));
+
+  // A base_lg of 64 or more would be an undefined shift.
+  FilterBlockBuilder builder(policy.get());
+  builder.StartBlock(0);
+  builder.AddKey("present");
+  const std::string valid = builder.Finish().ToString();
+  ASSERT_FALSE(FilterBlockReader(policy.get(), valid).KeyMayMatch(0, "absent"));
+  for (const unsigned char base_lg : {64, 200}) {
+    std::string contents = valid;
+    contents.back() = static_cast<char>(base_lg);
+    FilterBlockReader bad(policy.get(), contents);
+    for (const uint64_t offset : {0, 1 << 20}) {
+      EXPECT_TRUE(bad.KeyMayMatch(offset, "absent"))
+          << "base_lg=" << int{base_lg} << " offset=" << offset;
+    }
+  }
 }
 
 }  // namespace
