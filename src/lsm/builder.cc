@@ -25,9 +25,6 @@ TableOutputWriter::TableOutputWriter(
       roll_(roll) {}
 
 TableOutputWriter::~TableOutputWriter() {
-  // The outputs are being discarded or were kept after a successful
-  // Finish, so errors here cannot change the caller's outcome.
-  JoinFinisher().IgnoreError();
   if (current_.builder != nullptr) {
     current_.builder->Abandon();
     current_.file->Close().IgnoreError();
@@ -52,6 +49,19 @@ Status TableOutputWriter::OpenOutput() {
 
 Status TableOutputWriter::Add(const Slice& key, const Slice& value) {
   if (!status_.ok()) return status_;
+  ParsedInternalKey parsed;
+  const bool parsed_ok = ParseInternalKey(key, &parsed);
+  if (roll_ && current_.builder != nullptr &&
+      current_.builder->FileSize() >= options_.target_file_size) {
+    // Roll only between user keys: a key's versions split across two
+    // tables of one level would let a one-file compaction move the newer
+    // version below the older one. An unparsable key counts as a boundary.
+    ParsedInternalKey last;
+    if (!parsed_ok || !ParseInternalKey(Slice(current_.meta.largest), &last) ||
+        icmp_->user_comparator()->Compare(parsed.user_key, last.user_key) != 0) {
+      LSMIO_RETURN_IF_ERROR(FinishOutput());
+    }
+  }
   if (current_.builder == nullptr) {
     status_ = OpenOutput();
     if (!status_.ok()) return status_;
@@ -61,22 +71,10 @@ Status TableOutputWriter::Add(const Slice& key, const Slice& value) {
   current_.builder->Add(key, value);
   // Track the blob segments this table's pointer entries reference, so
   // value-log GC can find the tables that pin a mostly-garbage segment.
-  ParsedInternalKey parsed;
   ValuePointer ptr;
-  if (ParseInternalKey(key, &parsed) &&
-      parsed.type == ValueType::kValuePointer &&
+  if (parsed_ok && parsed.type == ValueType::kValuePointer &&
       DecodeValuePointer(value, &ptr)) {
     current_.blob_refs.insert(ptr.segment);
-  }
-
-  if (roll_ && current_.builder->FileSize() >= options_.target_file_size) {
-    // Roll: the full output's Finish, Sync and Close overlap the build of
-    // the next one (and, in a compaction, the input reads behind it).
-    status_ = JoinFinisher();
-    if (!status_.ok()) return status_;
-    finishing_ = std::move(current_);
-    current_ = Output{};
-    finisher_ = std::thread([this] { finish_status_ = FinishOutput(&finishing_); });
   }
   return Status::OK();
 }
@@ -90,35 +88,27 @@ Status TableOutputWriter::AddAll(Iterator* iter) {
 }
 
 Status TableOutputWriter::Finish() {
-  if (!status_.ok()) return status_;
-  // The rolled output first, so outputs_ stays in key order.
-  status_ = JoinFinisher();
   if (!status_.ok() || current_.builder == nullptr) return status_;
-  status_ = FinishOutput(&current_);
-  if (status_.ok()) outputs_.push_back(std::move(current_.meta));
-  current_ = Output{};
-  return status_;
+  return FinishOutput();
 }
 
-Status TableOutputWriter::FinishOutput(Output* out) {
-  Status s = out->builder->Finish();
-  if (s.ok()) {
-    out->meta.file_size = out->builder->FileSize();
-    out->meta.blob_refs.assign(out->blob_refs.begin(), out->blob_refs.end());
-    s = out->file->Sync();
+Status TableOutputWriter::FinishOutput() {
+  Output out = std::exchange(current_, Output{});
+  status_ = out.builder->Finish();
+  if (status_.ok()) {
+    out.meta.file_size = out.builder->FileSize();
+    out.meta.blob_refs.assign(out.blob_refs.begin(), out.blob_refs.end());
+    status_ = out.file->Sync();
   }
-  if (s.ok()) return out->file->Close();
-  // `s` already carries the root cause; the file is removed with the rest.
-  out->file->Close().IgnoreError();
-  return s;
-}
-
-Status TableOutputWriter::JoinFinisher() {
-  if (!finisher_.joinable()) return Status::OK();
-  finisher_.join();
-  if (finish_status_.ok()) outputs_.push_back(std::move(finishing_.meta));
-  finishing_ = Output{};
-  return std::move(finish_status_);
+  if (status_.ok()) {
+    status_ = out.file->Close();
+    if (status_.ok()) outputs_.push_back(std::move(out.meta));
+    return status_;
+  }
+  // status_ already carries the root cause; the file is removed with the
+  // rest.
+  out.file->Close().IgnoreError();
+  return status_;
 }
 
 }  // namespace lsmio::lsm

@@ -7,7 +7,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rate_limiter.h"
@@ -25,7 +24,8 @@ class TableBuilder;
 /// Writes sorted internal-key entries to one or more new table files. For
 /// each output it takes a file number, creates the file behind the rate
 /// limiter, feeds a TableBuilder, records the key range and the blob
-/// segments the entries point into, and ends with Finish, Sync and Close.
+/// segments the entries point into, and ends with Finish, Sync and Close
+/// on the caller's thread.
 ///
 /// Cleanup rule, the same for every caller: outputs that will not be
 /// installed are removed when the writer is destroyed. A caller hands the
@@ -39,17 +39,16 @@ class TableOutputWriter {
   /// it from the obsolete-file sweep; the caller lifts the shield when it
   /// installs the output. Table writes are charged to `rate_limiter` (null
   /// = unlimited) at `priority`. With `roll`, an output that has reached
-  /// Options::target_file_size after an Add finishes on a helper thread
-  /// while the next entry starts a new one; otherwise every entry goes to
-  /// one table.
+  /// Options::target_file_size is finished before the next entry of a new
+  /// user key, which starts the next output: all versions of one user key
+  /// stay in one table. Otherwise every entry goes to one table.
   TableOutputWriter(const std::string& dbname, vfs::Vfs& fs,
                     const Options& options, const InternalKeyComparator* icmp,
                     const FilterPolicy* filter_policy,
                     std::function<uint64_t()> new_file_number,
                     RateLimiter* rate_limiter, RateLimiter::Priority priority,
                     bool roll);
-  /// Waits out a background finish, then removes every file this writer
-  /// created unless Keep() was called.
+  /// Removes every file this writer created unless Keep() was called.
   ~TableOutputWriter();
 
   TableOutputWriter(const TableOutputWriter&) = delete;
@@ -60,8 +59,8 @@ class TableOutputWriter {
   Status Add(const Slice& key, const Slice& value);
   /// Adds every entry of `iter`, from its first, then calls Finish.
   Status AddAll(Iterator* iter);
-  /// Waits for the output finishing in the background, then finishes the
-  /// open one. On success outputs() lists every table, in key order.
+  /// Finishes the open output. On success outputs() lists every table, in
+  /// key order.
   Status Finish();
   /// The outputs are about to be installed: keep them on destruction.
   void Keep() { keep_ = true; }
@@ -80,14 +79,12 @@ class TableOutputWriter {
   };
 
   Status OpenOutput();
-  /// Finish, Sync and Close of `out`, filling its file size and blob refs.
-  /// The fsync always runs, whatever Options::sync_writes says: once the
-  /// table is installed, the WAL or the compaction inputs that covered its
-  /// entries are deleted, so an unsynced table could lose acked writes on
-  /// power failure.
-  static Status FinishOutput(Output* out);
-  /// Joins the background finish, if any, and collects its output.
-  Status JoinFinisher();
+  /// Finish, Sync and Close of the open output, which on success joins
+  /// outputs() with its file size and blob refs. The fsync always runs,
+  /// whatever Options::sync_writes says: once the table is installed, the
+  /// WAL or the compaction inputs that covered its entries are deleted, so
+  /// an unsynced table could lose acked writes on power failure.
+  Status FinishOutput();
 
   const std::string dbname_;
   vfs::Vfs& fs_;
@@ -104,12 +101,6 @@ class TableOutputWriter {
   std::vector<FileMetaData> outputs_;
   std::vector<uint64_t> file_numbers_;  // every number taken
   bool keep_ = false;
-
-  // At most one rolled output finishes on finisher_ while the next builds.
-  // finishing_ and finish_status_ belong to that thread until it is joined.
-  Output finishing_;
-  Status finish_status_;
-  std::thread finisher_;
 };
 
 }  // namespace lsmio::lsm

@@ -377,11 +377,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence)
     mem->Unref();
     mem = nullptr;
     LSMIO_RETURN_IF_ERROR(s);
-    const FileMetaData& meta = out.outputs().front();
-    pending_outputs_.erase(meta.number);
-    out.Keep();
-    LSMIO_RETURN_IF_ERROR(
-        versions_->LogAndApply(versions_->MakeVersion({{0, meta}}, {})));
+    LSMIO_RETURN_IF_ERROR(InstallTables(out, 0, {}));
   }
 
   if (options_.read_only) {
@@ -811,33 +807,6 @@ Status DBImpl::FlushMemTable(bool wait) {
   return Status::OK();
 }
 
-namespace {
-
-// True when the file's user-key span [smallest, largest] intersects the
-// range [begin, end]; a null bound is unbounded on that side.
-bool FileOverlapsUserRange(const Comparator* ucmp, const FileMetaData& f,
-                           const Slice* begin, const Slice* end) {
-  if (begin != nullptr &&
-      ucmp->Compare(ExtractUserKey(Slice(f.largest)), *begin) < 0) {
-    return false;
-  }
-  if (end != nullptr &&
-      ucmp->Compare(ExtractUserKey(Slice(f.smallest)), *end) > 0) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool DBImpl::FileOverlapsManualRange(const FileMetaData& f) const {
-  const Slice begin(manual_begin_);
-  const Slice end(manual_end_);
-  return FileOverlapsUserRange(internal_comparator_.user_comparator(), f,
-                               manual_has_begin_ ? &begin : nullptr,
-                               manual_has_end_ ? &end : nullptr);
-}
-
 Status DBImpl::CompactRange(const Slice* begin, const Slice* end) {
   if (options_.disable_compaction || options_.read_only) return Status::OK();
   MutexLock lock(&mu_);
@@ -846,23 +815,10 @@ Status DBImpl::CompactRange(const Slice* begin, const Slice* end) {
   // Route by range: when nothing on disk intersects the request this is a
   // fast no-op — on a sharded store that is what keeps a manual compaction
   // away from shards outside the range.
-  bool any_overlap = false;
-  {
-    // Scoped: holding this version ref across the wait below would keep
-    // the compaction's input files "live" through the install-time
-    // obsolete-file sweep, leaving them on disk until the next compaction.
-    const Comparator* ucmp = internal_comparator_.user_comparator();
-    const auto current = versions_->current();
-    for (int level = 0; level < kNumLevels && !any_overlap; ++level) {
-      for (const auto& f : current->files[level]) {
-        if (FileOverlapsUserRange(ucmp, f, begin, end)) {
-          any_overlap = true;
-          break;
-        }
-      }
-    }
+  const KeyRange range{begin, end};
+  if (versions_->current()->PickCompaction(options_, &range, {}).level < 0) {
+    return Status::OK();
   }
-  if (!any_overlap) return Status::OK();
 
   // One manual request at a time: a second caller waits until the first
   // request has been picked up and completed before installing its own.
@@ -912,44 +868,13 @@ void DBImpl::MaybeScheduleCompaction() {
   background_->compaction->Submit([this] { BackgroundCompactionCall(); });
 }
 
+std::vector<uint64_t> DBImpl::GcSegments() const {
+  return vlog_ != nullptr ? vlog_->GcCandidates() : std::vector<uint64_t>{};
+}
+
 bool DBImpl::NeedsCompaction() const {
   if (options_.disable_compaction || options_.read_only) return false;
-  if (versions_->current()->PickCompactionLevel(options_) >= 0) return true;
-  return NeedsGcCompaction();
-}
-
-bool DBImpl::NeedsGcCompaction() const {
-  if (vlog_ == nullptr) return false;
-  std::vector<FileMetaData> inputs;
-  return PickGcCompaction(&inputs) >= 0;
-}
-
-int DBImpl::PickGcCompaction(std::vector<FileMetaData>* inputs) const {
-  inputs->clear();
-  if (vlog_ == nullptr) return -1;
-  const std::vector<uint64_t> candidates = vlog_->GcCandidates();
-  if (candidates.empty()) return -1;
-  const std::set<uint64_t> targets(candidates.begin(), candidates.end());
-  const auto current = versions_->current();
-  for (int level = 0; level < kNumLevels; ++level) {
-    for (const auto& f : current->files[level]) {
-      const bool pins = std::any_of(
-          f.blob_refs.begin(), f.blob_refs.end(),
-          [&](uint64_t seg) { return targets.count(seg) != 0; });
-      if (!pins) continue;
-      if (level == 0) {
-        // L0 files may overlap and reads go newest-file-number-first;
-        // rewriting one old file into a fresh (higher) number would let it
-        // shadow newer siblings. Compact all of L0 together, as the size
-        // trigger does.
-        *inputs = current->files[0];
-      } else {
-        inputs->push_back(f);
-      }
-      return level;
-    }
-  }
-  return -1;
+  return versions_->current()->PickCompaction(options_, nullptr, GcSegments()).level >= 0;
 }
 
 void DBImpl::BackgroundFlushCall() {
@@ -1003,6 +928,17 @@ uint64_t DBImpl::NewOutputNumber() {
   return number;
 }
 
+Status DBImpl::InstallTables(TableOutputWriter& out, int level,
+                             const std::vector<std::pair<int, uint64_t>>& deletions) {
+  std::vector<std::pair<int, FileMetaData>> additions;
+  for (const auto& f : out.outputs()) {
+    additions.emplace_back(level, f);
+    pending_outputs_.erase(f.number);
+  }
+  out.Keep();
+  return versions_->LogAndApply(versions_->MakeVersion(additions, deletions));
+}
+
 Status DBImpl::CompactMemTable(MemTable* imm) {
   // Called without mu_. `imm` stays at the front of imm_queue_ (readable by
   // Get/iterators) until the flush is installed; only this thread pops it.
@@ -1029,7 +965,6 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
 
   MutexLock lock(&mu_);
   if (s.ok() && !out.outputs().empty()) {
-    const FileMetaData& meta = out.outputs().front();
     assert(!imm_queue_.empty() && imm_queue_.front() == imm);
     // Advance the recovery log number in the same manifest record that
     // installs the SST. Without this, reopen replays the already-flushed
@@ -1037,11 +972,9 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
     // tail was lost in a crash, that stale replay shadows newer synced
     // data because L0 reads go newest-file-number-first.
     versions_->SetLogNumber(imm_log_queue_.front());
-    pending_outputs_.erase(meta.number);
-    out.Keep();
-    s = versions_->LogAndApply(versions_->MakeVersion({{0, meta}}, {}));
+    s = InstallTables(out, 0, {});
     stats_.memtable_flushes += 1;
-    stats_.bytes_flushed += meta.file_size;
+    stats_.bytes_flushed += out.outputs().front().file_size;
   }
   if (s.ok()) {
     assert(!imm_queue_.empty() && imm_queue_.front() == imm);
@@ -1061,155 +994,48 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
 }
 
 Status DBImpl::BackgroundCompaction() {
-  // Decide inputs under the lock, merge outside it.
-  int level = -1;
-  int output_level = -1;
-  std::vector<FileMetaData> level_inputs;
-  std::vector<FileMetaData> next_inputs;
+  // Pick under the lock, merge outside it.
+  CompactionPick pick;
+  std::vector<uint64_t> gc_segments;
+  SequenceNumber smallest_snapshot = 0;
   {
     MutexLock lock(&mu_);
-    const auto current = versions_->current();
-    if (manual_compaction_requested_) {
-      // Manual compaction: only files overlapping the requested range.
-      // L0 first; the selection must then be *transitively* expanded to
-      // every L0 file overlapping the picked files' key span, because L0
-      // reads are newest-file-first — compacting a newer L0 file into L1
-      // while an older overlapping L0 sibling stays behind would let the
-      // sibling's stale versions shadow the freshly installed ones.
-      for (const auto& f : current->files[0]) {
-        if (FileOverlapsManualRange(f)) level_inputs.push_back(f);
-      }
-      if (!level_inputs.empty()) {
-        level = 0;
-        const Comparator* ucmp = internal_comparator_.user_comparator();
-        std::set<uint64_t> picked;
-        std::string lo, hi;  // user-key span of the selection so far
-        for (const auto& f : level_inputs) {
-          picked.insert(f.number);
-          const Slice fs = ExtractUserKey(Slice(f.smallest));
-          const Slice fl = ExtractUserKey(Slice(f.largest));
-          if (lo.empty() || ucmp->Compare(fs, Slice(lo)) < 0) lo = fs.ToString();
-          if (hi.empty() || ucmp->Compare(fl, Slice(hi)) > 0) hi = fl.ToString();
-        }
-        for (bool grew = true; grew;) {
-          grew = false;
-          for (const auto& f : current->files[0]) {
-            if (picked.count(f.number) != 0) continue;
-            const Slice slo(lo);
-            const Slice shi(hi);
-            if (!FileOverlapsUserRange(ucmp, f, &slo, &shi)) continue;
-            level_inputs.push_back(f);
-            picked.insert(f.number);
-            const Slice fs = ExtractUserKey(Slice(f.smallest));
-            const Slice fl = ExtractUserKey(Slice(f.largest));
-            if (ucmp->Compare(fs, slo) < 0) lo = fs.ToString();
-            if (ucmp->Compare(fl, shi) > 0) hi = fl.ToString();
-            grew = true;
-          }
-        }
-      } else {
-        for (int l = 1; l < kNumLevels - 1 && level < 0; ++l) {
-          for (const auto& f : current->files[l]) {
-            if (FileOverlapsManualRange(f)) {
-              level = l;
-              level_inputs.push_back(f);
-              break;
-            }
-          }
-        }
-      }
-    } else {
-      // Pressure-aware pick: the level with the highest compaction score
-      // wins, and L0 jumps into dominance once the slowdown trigger is
-      // crossed (writers are paying pacing delays, so L0→L1 is the
-      // compaction that actually relieves them).
-      level = current->PickCompactionLevel(options_);
-      if (level == 0) {
-        level_inputs = current->files[0];
-      } else if (level > 0) {
-        level_inputs.push_back(current->files[level][0]);
-      } else {
-        // No size trigger fired: value-log GC wants the file(s) pinning a
-        // mostly-garbage blob segment rewritten so the live values relocate
-        // and the segment can be reclaimed.
-        level = PickGcCompaction(&level_inputs);
-      }
-    }
-    if (level < 0) return Status::OK();
-
-    // The last level has nowhere to push into; GC rewrites it in place
-    // (level >= 1 files are disjoint, so same-level output is safe).
-    output_level = level < kNumLevels - 1 ? level + 1 : level;
-
-    // Overlapping files in the next level.
-    const Comparator* ucmp = internal_comparator_.user_comparator();
-    std::string smallest;
-    std::string largest;
-    for (const auto& f : level_inputs) {
-      if (smallest.empty() ||
-          internal_comparator_.Compare(Slice(f.smallest), Slice(smallest)) < 0) {
-        smallest = f.smallest;
-      }
-      if (largest.empty() ||
-          internal_comparator_.Compare(Slice(f.largest), Slice(largest)) > 0) {
-        largest = f.largest;
-      }
-    }
-    if (output_level > level) {
-      for (const auto& f : current->files[output_level]) {
-        const Slice f_small_user = ExtractUserKey(Slice(f.smallest));
-        const Slice f_large_user = ExtractUserKey(Slice(f.largest));
-        if (ucmp->Compare(f_large_user, ExtractUserKey(Slice(smallest))) >= 0 &&
-            ucmp->Compare(f_small_user, ExtractUserKey(Slice(largest))) <= 0) {
-          next_inputs.push_back(f);
-        }
-      }
-    }
+    // A segment stays a GC candidate until its live bytes drain to zero,
+    // so relocating against this snapshot of the candidates is safe.
+    gc_segments = GcSegments();
+    const Slice begin(manual_begin_);
+    const Slice end(manual_end_);
+    const KeyRange manual{manual_has_begin_ ? &begin : nullptr,
+                          manual_has_end_ ? &end : nullptr};
+    pick = versions_->current()->PickCompaction(
+        options_, manual_compaction_requested_ ? &manual : nullptr, gc_segments);
+    smallest_snapshot = SmallestSnapshot();
   }
-  return CompactFiles(level, level_inputs, next_inputs, output_level);
+  if (pick.level < 0) return Status::OK();
+  return CompactFiles(pick, gc_segments, smallest_snapshot);
 }
 
-Status DBImpl::CompactFiles(int level,
-                            const std::vector<FileMetaData>& level_inputs,
-                            const std::vector<FileMetaData>& next_inputs,
-                            int output_level) {
-  const SequenceNumber smallest_snapshot = [&] {
-    MutexLock lock(&mu_);
-    return SmallestSnapshot();
-  }();
-
-  // Blob segments whose garbage ratio crossed the GC threshold: live
-  // values this compaction encounters in them are relocated to the active
-  // segment (under their original sequence numbers, so snapshot readers
-  // are unaffected). A segment stays a candidate until its live bytes
-  // drain to zero, so the set being a snapshot taken here is safe.
-  std::set<uint64_t> gc_targets;
-  if (vlog_ != nullptr) {
-    for (const uint64_t seg : vlog_->GcCandidates()) gc_targets.insert(seg);
-  }
-
+Status DBImpl::CompactFiles(const CompactionPick& pick,
+                            const std::vector<uint64_t>& gc_segments,
+                            SequenceNumber smallest_snapshot) {
   // Merge all inputs.
   std::vector<Iterator*> children;
   ReadOptions read_options;
   read_options.fill_cache = false;
   read_options.readahead_bytes = kCompactionReadaheadBytes;
-  for (const auto& f : level_inputs) {
-    children.push_back(table_cache_->NewIterator(read_options, f.number, f.file_size));
-  }
-  for (const auto& f : next_inputs) {
-    children.push_back(table_cache_->NewIterator(read_options, f.number, f.file_size));
-  }
+  uint64_t input_bytes = 0;
+  std::vector<std::pair<int, uint64_t>> deletions;
+  const auto add_inputs = [&](int level, const std::vector<FileMetaData>& files) {
+    for (const auto& f : files) {
+      children.push_back(table_cache_->NewIterator(read_options, f.number, f.file_size));
+      input_bytes += f.file_size;
+      deletions.emplace_back(level, f.number);
+    }
+  };
+  add_inputs(pick.level, pick.inputs);
+  add_inputs(pick.output_level, pick.next_inputs);
   std::unique_ptr<Iterator> merged(NewMergingIterator(
       &internal_comparator_, children.data(), static_cast<int>(children.size())));
-
-  const bool bottommost = [&] {
-    MutexLock lock(&mu_);
-    const auto current = versions_->current();
-    for (int l = output_level + 1; l < kNumLevels; ++l) {
-      if (current->NumFiles(l) > 0) return false;
-    }
-    return true;
-  }();
 
   // Pipeline stage 1 (producer): block reads + decode + heap merge, i.e.
   // everything behind Next on the merged iterator, run by a background
@@ -1217,11 +1043,9 @@ Status DBImpl::CompactFiles(int level,
   // destroyed before `merged` (it drives the iterator from its thread).
   auto source = std::make_unique<PipelinedKvSource>(merged.get());
 
-  // Pipeline stage 3 (output): outputs roll at target_file_size, and the
-  // Finish+Sync+Close of a full one runs on a helper thread while the next
-  // builds, so the output fsync overlaps both input I/O and merge compute.
-  // Compaction writes are charged at low priority: under a shared byte
-  // budget, a concurrent flush's writes preempt them.
+  // Pipeline stage 3 (output): outputs roll at target_file_size, between
+  // user keys. Compaction writes are charged at low priority: under a
+  // shared byte budget, a concurrent flush's writes preempt them.
   TableOutputWriter out(dbname_, fs(), options_, &internal_comparator_, filter_policy_.get(),
                         [this] {
                           MutexLock lock(&mu_);
@@ -1263,7 +1087,7 @@ Status DBImpl::CompactFiles(int level,
       if (last_sequence_for_key <= smallest_snapshot) {
         drop = true;  // shadowed by a newer entry old enough for everyone
       } else if (ikey.type == ValueType::kDeletion &&
-                 ikey.sequence <= smallest_snapshot && bottommost) {
+                 ikey.sequence <= smallest_snapshot && pick.bottommost) {
         drop = true;  // tombstone with nothing underneath
       }
       last_sequence_for_key = ikey.sequence;
@@ -1278,7 +1102,8 @@ Status DBImpl::CompactFiles(int level,
       if (have_ptr) garbage[ptr.segment] += ptr.length;
       continue;
     }
-    if (have_ptr && gc_targets.count(ptr.segment) != 0) {
+    if (have_ptr && std::find(gc_segments.begin(), gc_segments.end(), ptr.segment) !=
+                        gc_segments.end()) {
       // GC relocation: copy the surviving value into the active segment
       // and re-point this entry there — same internal key, so the entry's
       // sequence (and therefore snapshot visibility) is untouched.
@@ -1314,10 +1139,6 @@ Status DBImpl::CompactFiles(int level,
   // install: the old copies live in a segment that drains and gets deleted.
   if (s.ok() && relocated_any) s = vlog_->Sync();
 
-  uint64_t input_bytes = 0;
-  for (const auto& f : level_inputs) input_bytes += f.file_size;
-  for (const auto& f : next_inputs) input_bytes += f.file_size;
-
   MutexLock lock(&mu_);
   stats_.compaction_pipeline_batches += pipeline_batches;
   if (!s.ok()) return s;
@@ -1326,17 +1147,8 @@ Status DBImpl::CompactFiles(int level,
   // live accounting is updated first so the manifest record written by
   // LogAndApply snapshots the post-compaction per-segment live bytes.
   if (vlog_ != nullptr && !garbage.empty()) vlog_->ApplyGarbage(garbage);
-  std::vector<std::pair<int, FileMetaData>> additions;
-  std::vector<std::pair<int, uint64_t>> deletions;
-  for (const auto& f : level_inputs) deletions.emplace_back(level, f.number);
-  for (const auto& f : next_inputs) deletions.emplace_back(output_level, f.number);
-  for (const auto& f : out.outputs()) {
-    additions.emplace_back(output_level, f);
-    pending_outputs_.erase(f.number);
-    stats_.compaction_bytes_written += f.file_size;
-  }
-  out.Keep();
-  s = versions_->LogAndApply(versions_->MakeVersion(additions, deletions));
+  for (const auto& f : out.outputs()) stats_.compaction_bytes_written += f.file_size;
+  s = InstallTables(out, pick.output_level, deletions);
   if (s.ok()) {
     stats_.compactions += 1;
     stats_.compaction_bytes_read += input_bytes;

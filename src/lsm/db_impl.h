@@ -35,6 +35,7 @@
 namespace lsmio::lsm {
 
 class FilterPolicy;
+class TableOutputWriter;
 
 /// The background executors of one store. Memtable flushes and
 /// ArbiterFlushCall run on `flush`, max(1, background_threads) threads.
@@ -174,28 +175,25 @@ class DBImpl final : public DB {
   /// File number for a new table output, added to pending_outputs_ (the
   /// TableOutputWriter callback).
   uint64_t NewOutputNumber() REQUIRES(mu_);
+  /// The one install of new tables, for flush, WAL replay and compaction:
+  /// takes the outputs of `out` out of pending_outputs_, keeps them, and
+  /// logs and applies the current Version with them added at `level` and
+  /// `deletions` (level, file number) removed.
+  Status InstallTables(TableOutputWriter& out, int level,
+                       const std::vector<std::pair<int, uint64_t>>& deletions)
+      REQUIRES(mu_);
   Status CompactMemTable(MemTable* imm) EXCLUDES(mu_);
+  /// Blob segments value-log GC wants drained (empty without a value log).
+  std::vector<uint64_t> GcSegments() const REQUIRES(mu_);
   bool NeedsCompaction() const REQUIRES(mu_);
-  /// True when value-log GC wants a compaction: some segment's garbage
-  /// ratio crossed the threshold and a current table file still pins it.
-  bool NeedsGcCompaction() const REQUIRES(mu_);
-  /// Picks the pinning file(s) for a GC-driven compaction (lowest level
-  /// first; all of L0 together to preserve newest-file-first shadowing).
-  /// Returns the input level, or -1 when no file pins a candidate.
-  int PickGcCompaction(std::vector<FileMetaData>* inputs) const REQUIRES(mu_);
-  /// True when the file's user-key span intersects the manual compaction
-  /// range currently installed (unbounded sides always match).
-  bool FileOverlapsManualRange(const FileMetaData& f) const REQUIRES(mu_);
+  /// Picks a compaction (Version::PickCompaction) and runs it.
   Status BackgroundCompaction() EXCLUDES(mu_);
-  /// Merges `level_inputs` (at `level`) + `next_inputs` (at `output_level`)
-  /// into fresh tables installed at `output_level`. Normally output_level
-  /// == level + 1; a GC-driven rewrite of bottom-level files passes
-  /// output_level == level with no next_inputs. Live values in blob
-  /// segments past the GC garbage threshold are relocated to the active
-  /// segment under their original sequence numbers.
-  Status CompactFiles(int level, const std::vector<FileMetaData>& level_inputs,
-                      const std::vector<FileMetaData>& next_inputs,
-                      int output_level) EXCLUDES(mu_);
+  /// Merges the picked inputs into fresh tables installed at the pick's
+  /// output level. Live values in `gc_segments` are relocated to the
+  /// active blob segment under their original sequence numbers.
+  Status CompactFiles(const CompactionPick& pick,
+                      const std::vector<uint64_t>& gc_segments,
+                      SequenceNumber smallest_snapshot) EXCLUDES(mu_);
   void RemoveObsoleteFiles() REQUIRES(mu_);
 
   /// What a read works against: the sequence it reads at, and the

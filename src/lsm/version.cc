@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/coding.h"
 #include "common/inline_vector.h"
@@ -72,6 +74,98 @@ int Version::PickCompactionLevel(const Options& options, double* score) const {
   }
   if (score != nullptr) *score = best_score;
   return best_level;
+}
+
+namespace {
+
+// The user-key span [*lo, *hi] of the non-empty `files`.
+void UserKeySpan(const Comparator* ucmp, const std::vector<FileMetaData>& files,
+                 std::string* lo, std::string* hi) {
+  Slice min = ExtractUserKey(Slice(files[0].smallest));
+  Slice max = ExtractUserKey(Slice(files[0].largest));
+  for (const auto& f : files) {
+    const Slice smallest = ExtractUserKey(Slice(f.smallest));
+    const Slice largest = ExtractUserKey(Slice(f.largest));
+    if (ucmp->Compare(smallest, min) < 0) min = smallest;
+    if (ucmp->Compare(largest, max) > 0) max = largest;
+  }
+  *lo = min.ToString();
+  *hi = max.ToString();
+}
+
+}  // namespace
+
+std::vector<FileMetaData> Version::OverlappingFiles(int level, const Slice* begin,
+                                                    const Slice* end) const {
+  const Comparator* ucmp = icmp_->user_comparator();
+  std::vector<FileMetaData> result;
+  for (const auto& f : files[level]) {
+    if ((begin == nullptr ||
+         ucmp->Compare(ExtractUserKey(Slice(f.largest)), *begin) >= 0) &&
+        (end == nullptr ||
+         ucmp->Compare(ExtractUserKey(Slice(f.smallest)), *end) <= 0)) {
+      result.push_back(f);
+    }
+  }
+  return result;
+}
+
+std::vector<FileMetaData> Version::OverlappingRun(
+    int level, const std::vector<FileMetaData>& of) const {
+  // In a sorted run only a neighbour at a boundary can share a user key,
+  // and it may share its other boundary with the next file: grow until
+  // the span stops growing.
+  const Comparator* ucmp = icmp_->user_comparator();
+  std::vector<FileMetaData> run;
+  std::string lo;
+  std::string hi;
+  UserKeySpan(ucmp, of, &lo, &hi);
+  for (;;) {
+    const Slice begin(lo);
+    const Slice end(hi);
+    std::vector<FileMetaData> grown = OverlappingFiles(level, &begin, &end);
+    if (grown.size() == run.size()) return grown;
+    run = std::move(grown);
+    UserKeySpan(ucmp, run, &lo, &hi);
+  }
+}
+
+CompactionPick Version::PickCompaction(const Options& options, const KeyRange* manual,
+                                       const std::vector<uint64_t>& gc_segments) const {
+  CompactionPick pick;
+  std::vector<FileMetaData>& inputs = pick.inputs;
+  if (manual != nullptr) {
+    for (int level = 0; level < kNumLevels && inputs.empty(); ++level) {
+      inputs = OverlappingFiles(level, manual->begin, manual->end);
+      pick.level = level;
+    }
+  } else if ((pick.level = PickCompactionLevel(options)) >= 0) {
+    inputs.push_back(files[pick.level][0]);
+  } else {
+    for (int level = 0; level < kNumLevels && inputs.empty(); ++level) {
+      for (const auto& f : files[level]) {
+        if (std::find_first_of(f.blob_refs.begin(), f.blob_refs.end(),
+                               gc_segments.begin(), gc_segments.end()) !=
+            f.blob_refs.end()) {
+          inputs.push_back(f);
+          pick.level = level;
+          break;
+        }
+      }
+    }
+  }
+  if (inputs.empty()) return CompactionPick{};
+
+  inputs = pick.level == 0 ? files[0] : OverlappingRun(pick.level, {inputs[0]});
+  pick.output_level = pick.level < kNumLevels - 1 ? pick.level + 1 : pick.level;
+  if (pick.output_level > pick.level) {
+    pick.next_inputs = OverlappingRun(pick.output_level, inputs);
+  }
+  pick.bottommost = true;
+  for (int level = pick.output_level + 1; level < kNumLevels; ++level) {
+    if (!files[level].empty()) pick.bottommost = false;
+  }
+  return pick;
 }
 
 namespace {
@@ -474,6 +568,27 @@ std::shared_ptr<Version> VersionSet::MakeVersion(
                 return icmp_->Compare(Slice(a.smallest), Slice(b.smallest)) < 0;
               });
   }
+#if LSMIO_STATUS_DEBUG || !defined(NDEBUG)
+  // Every L1+ level must stay one sorted run: a table sharing a user key
+  // with a neighbour lets a later one-file compaction move the newer
+  // version of that key below the older one. Checked wherever
+  // unchecked-Status tracking is, so the test builds check it too.
+  const Comparator* ucmp = icmp_->user_comparator();
+  for (const auto& [level, added] : additions) {
+    if (level == 0) continue;
+    const auto& run = v->files[level];
+    for (size_t i = 1; i < run.size(); ++i) {
+      if ((run[i - 1].number == added.number || run[i].number == added.number) &&
+          ucmp->Compare(ExtractUserKey(Slice(run[i - 1].largest)),
+                        ExtractUserKey(Slice(run[i].smallest))) >= 0) {
+        std::fprintf(stderr, "lsmio: L%d tables %llu and %llu share a user key\n",
+                     level, static_cast<unsigned long long>(run[i - 1].number),
+                     static_cast<unsigned long long>(run[i].number));
+        std::abort();
+      }
+    }
+  }
+#endif
   return v;
 }
 

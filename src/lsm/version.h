@@ -50,13 +50,33 @@ struct FileMetaData {
   std::vector<uint64_t> blob_refs;
 };
 
+/// A user-key range [begin, end]; a null bound is unbounded on that side.
+struct KeyRange {
+  const Slice* begin = nullptr;
+  const Slice* end = nullptr;
+};
+
+/// One compaction, as Version::PickCompaction chose it: `inputs` at
+/// `level` and `next_inputs` at `output_level` merge into new tables at
+/// `output_level`. level < 0: nothing to compact.
+struct CompactionPick {
+  int level = -1;
+  int output_level = -1;
+  std::vector<FileMetaData> inputs;
+  std::vector<FileMetaData> next_inputs;
+  /// No level below output_level holds a file, so a tombstone older than
+  /// every snapshot hides nothing and can be dropped.
+  bool bottommost = false;
+};
+
 /// Immutable snapshot of the table layout, shared_ptr-owned by readers.
 class Version {
  public:
   explicit Version(const InternalKeyComparator* icmp) : icmp_(icmp) {}
 
   /// Files per level. L0 is ordered newest-first (descending file number);
-  /// L1+ are sorted by smallest key and non-overlapping.
+  /// each of L1+ is one sorted run: sorted by smallest key, and no two
+  /// files share a user key.
   std::vector<FileMetaData> files[kNumLevels];
 
   /// One key of a lookup flowing through the level search (a point Get is
@@ -107,7 +127,33 @@ class Version {
   [[nodiscard]] int PickCompactionLevel(const Options& options,
                                         double* score = nullptr) const;
 
+  /// The files at `level` whose user-key span intersects [begin, end]; a
+  /// null bound is unbounded on that side. Keeps the level's order.
+  [[nodiscard]] std::vector<FileMetaData> OverlappingFiles(
+      int level, const Slice* begin, const Slice* end) const;
+
+  /// Picks the next compaction. The level is, with `manual`, the lowest
+  /// one holding a file that overlaps it; else PickCompactionLevel's; else
+  /// the lowest one holding a file that pins one of `gc_segments` (blob
+  /// segments value-log GC wants drained). One rule per level:
+  /// - L0 compacts whole. Its files overlap and reads take the newest
+  ///   first, so an older file left behind could shadow the output.
+  /// - An L1+ pick is one file (the level's first for size, the first
+  ///   overlapping or pinning one otherwise) plus every neighbour that
+  ///   shares a user key with it, so the level stays one sorted run.
+  /// The output goes to level + 1 together with the files it overlaps
+  /// there, under the same neighbour rule; the last level is rewritten in
+  /// place.
+  [[nodiscard]] CompactionPick PickCompaction(
+      const Options& options, const KeyRange* manual,
+      const std::vector<uint64_t>& gc_segments) const;
+
  private:
+  /// The files at L1+ `level` that overlap the user-key span of the
+  /// non-empty `of`, grown by every file that shares a user key with them.
+  [[nodiscard]] std::vector<FileMetaData> OverlappingRun(
+      int level, const std::vector<FileMetaData>& of) const;
+
   const InternalKeyComparator* icmp_;
 };
 
@@ -142,7 +188,9 @@ class VersionSet {
   /// performs I/O.
   Status LogAndApply(std::shared_ptr<Version> v);
 
-  /// Builds a new Version = current + additions - deletions.
+  /// Builds a new Version = current + additions - deletions. In every
+  /// build type but Release and MinSizeRel, aborts when a table added at
+  /// L1+ shares a user key with a neighbour (see Version::files).
   std::shared_ptr<Version> MakeVersion(
       const std::vector<std::pair<int, FileMetaData>>& additions,
       const std::vector<std::pair<int, uint64_t>>& deletions) const;

@@ -142,11 +142,11 @@ std::set<uint64_t> TablesInCurrentVersion(vfs::Vfs& fs) {
 }
 
 // A compaction whose output outgrows target_file_size rolls to further
-// tables, finishing each one on a helper thread while the next builds. A
-// failed fsync of a rolled output must fail the compaction without
-// installing anything: the store latches read-only, keeps serving every
-// acked key from the compaction's inputs, and the next open sweeps the
-// outputs that were never installed.
+// tables, finishing each one before the next opens. A failed fsync of a
+// rolled output must fail the compaction without installing anything:
+// the store latches read-only, keeps serving every acked key from the
+// compaction's inputs, and the next open sweeps the outputs that were
+// never installed.
 TEST(DbCompactionOutputTest, RolledOutputSyncFailureKeepsInputs) {
   vfs::MemVfs mem;
   vfs::FaultVfs fs(mem);

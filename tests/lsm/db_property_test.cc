@@ -1,8 +1,12 @@
 // Property-based engine validation: a randomized op stream applied both to
 // the DB and to an in-memory reference model must agree, across the option
 // matrix of the paper's knobs (WAL, compression, cache, compaction, sync).
+// LSMIO_PROPERTY_SEEDS=N runs the op stream on N consecutive seeds
+// (default 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -80,21 +84,35 @@ class DbPropertyTest : public ::testing::TestWithParam<EngineConfig> {
     options.sync_writes = c.sync_writes;
     options.use_mmap = c.use_mmap;
     options.l0_compaction_trigger = 3;
+    // Compaction outputs roll, and L1 overflows into L2.
+    options.target_file_size = 4 * KiB;
+    options.max_bytes_for_level_base = 16 * KiB;
     return options;
   }
+
+  void RunRandomOps(uint64_t seed);
 
   vfs::MemVfs fs_;
 };
 
-TEST_P(DbPropertyTest, RandomOpsMatchReferenceModel) {
+// Runs a random op stream from `seed` against a fresh store and the model.
+// A snapshot, re-taken every 200 ops, keeps older versions alive through
+// the compactions, so a key's versions span rolled outputs.
+void DbPropertyTest::RunRandomOps(uint64_t seed) {
+  const std::string dbname = "/db" + std::to_string(seed);
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(MakeOptions(), "/db", &db).ok());
+  ASSERT_TRUE(DB::Open(MakeOptions(), dbname, &db).ok());
 
   std::map<std::string, std::string> model;
-  Rng rng(20260707);
+  Rng rng(seed);
+  const Snapshot* snapshot = nullptr;
 
   constexpr int kOps = 3000;
   for (int op = 0; op < kOps; ++op) {
+    if (op % 200 == 0) {
+      if (snapshot != nullptr) db->ReleaseSnapshot(snapshot);
+      snapshot = db->GetSnapshot();
+    }
     const uint64_t dice = rng.Uniform(100);
     const std::string key = "key" + std::to_string(rng.Uniform(150));
     if (dice < 55) {
@@ -128,6 +146,7 @@ TEST_P(DbPropertyTest, RandomOpsMatchReferenceModel) {
       ASSERT_TRUE(db->FlushMemTable(/*wait=*/rng.Bernoulli(0.5)).ok());
     }
   }
+  db->ReleaseSnapshot(snapshot);
 
   // Final full comparison via iterator.
   std::unique_ptr<Iterator> iter(db->NewIterator({}));
@@ -139,6 +158,19 @@ TEST_P(DbPropertyTest, RandomOpsMatchReferenceModel) {
   }
   EXPECT_EQ(expected, model.end());
   ASSERT_TRUE(iter->status().ok());
+  iter.reset();
+  db.reset();
+  ASSERT_TRUE(DB::Destroy(MakeOptions(), dbname).ok());
+}
+
+TEST_P(DbPropertyTest, RandomOpsMatchReferenceModel) {
+  const char* env = std::getenv("LSMIO_PROPERTY_SEEDS");
+  const int seeds = env != nullptr ? std::max(1, std::atoi(env)) : 1;
+  for (int i = 0; i < seeds && !HasFailure(); ++i) {
+    const uint64_t seed = 20260707 + i;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunRandomOps(seed);
+  }
 }
 
 TEST_P(DbPropertyTest, ReopenPreservesBarrieredState) {

@@ -2,8 +2,13 @@
 // keep old versions readable even as the engine rewrites tables.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/units.h"
+#include "lsm/comparator.h"
 #include "lsm/db.h"
+#include "lsm/table_cache.h"
+#include "lsm/version.h"
 #include "vfs/mem_vfs.h"
 
 namespace lsmio::lsm {
@@ -103,6 +108,88 @@ TEST_F(DbSnapshotTest, MultipleSnapshotsIndependent) {
   EXPECT_EQ(GetAt("k", 1), "a");
   EXPECT_EQ(GetAt("k", 2), "b");
   EXPECT_EQ(GetAt("k", 3), "c");
+}
+
+// The files of `level` in the current Version, recovered from the manifest
+// of the closed store at /db.
+std::vector<FileMetaData> LevelFiles(vfs::Vfs& fs, int level) {
+  Options options;
+  options.vfs = &fs;
+  const InternalKeyComparator icmp(BytewiseComparator());
+  TableCache table_cache("/db", options, &icmp, nullptr, nullptr, 10);
+  VersionSet versions("/db", options, &icmp, &table_cache);
+  bool save_manifest = false;
+  EXPECT_TRUE(versions.Recover(&save_manifest).ok());
+  return versions.current()->files[level];
+}
+
+std::string UserKeyOf(const std::string& internal_key) {
+  return ExtractUserKey(Slice(internal_key)).ToString();
+}
+
+// A snapshot keeps two versions of every key through a compaction whose
+// output rolls at a small target_file_size. A roll between the two
+// versions of one key would put them in two L1 tables, and a later
+// compaction of the first table alone would move the newer version below
+// the older one, which reads would then return.
+TEST(DbSnapshotRollTest, RolledOutputsNeverSplitAKey) {
+  vfs::MemVfs fs;
+  Options options;
+  options.vfs = &fs;
+  options.disable_compaction = false;
+  options.l0_compaction_trigger = 100;  // only CompactRange compacts
+  options.target_file_size = 4 * KiB;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 200; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%05d", i);
+    keys.emplace_back(key);
+  }
+  const auto write_all = [&](char fill) {
+    for (const auto& key : keys) {
+      ASSERT_TRUE(db->Put({}, key, std::string(100, fill)).ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable(/*wait=*/true).ok());
+  };
+  write_all('a');
+  const Snapshot* snap = db->GetSnapshot();
+  write_all('b');
+  ASSERT_TRUE(db->CompactRange().ok());  // both versions of every key to L1
+  db->ReleaseSnapshot(snap);
+  db.reset();
+
+  const std::vector<FileMetaData> l1 = LevelFiles(fs, 1);
+  ASSERT_GE(l1.size(), 3u) << "the compaction rolls to 3+ tables";
+  for (size_t i = 1; i < l1.size(); ++i) {
+    EXPECT_LT(UserKeyOf(l1[i - 1].largest), UserKeyOf(l1[i].smallest))
+        << "L1 tables " << i - 1 << " and " << i << " share a user key";
+  }
+
+  // Compact the first L1 table's key range alone, down to L2.
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  const std::string first = UserKeyOf(l1[0].smallest);
+  const std::string last = UserKeyOf(l1[0].largest);
+  const Slice begin(first);
+  const Slice end(last);
+  ASSERT_TRUE(db->CompactRange(&begin, &end).ok());
+
+  const std::string newest(100, 'b');
+  for (const auto& key : keys) {
+    std::string value;
+    ASSERT_TRUE(db->Get({}, key, &value).ok()) << key;
+    EXPECT_EQ(value, newest) << key;
+  }
+  const std::vector<Slice> slices(keys.begin(), keys.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(db->MultiGet({}, slices, &values, &statuses).ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << keys[i];
+    EXPECT_EQ(values[i], newest) << keys[i];
+  }
 }
 
 }  // namespace

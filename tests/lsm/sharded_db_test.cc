@@ -2,7 +2,7 @@
 // cross-shard routing (Put/Get/MultiGet/WriteBatch), merged iteration
 // order, shard-count persistence and reopen mismatch rejection (both
 // directions), stats aggregation, range-routed manual compaction, and the
-// transitive-L0-expansion correctness property of CompactRange.
+// rule that a CompactRange touching L0 compacts all of L0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -289,9 +289,9 @@ TEST_F(ShardedDbTest, CompactRangeCompactsEveryShard) {
   }
 }
 
-// Manual compaction on a single LSM routes by key range: only files
-// overlapping the request are compacted, and a non-overlapping range is a
-// no-op.
+// Manual compaction on a single LSM routes by key range: a range that
+// overlaps no file is a no-op, and one that touches L0 runs one compaction
+// of all of L0.
 TEST_F(ShardedDbTest, ManualCompactionRoutesByRange) {
   Options options = BaseOptions(1);
   options.disable_compaction = false;
@@ -314,7 +314,7 @@ TEST_F(ShardedDbTest, ManualCompactionRoutesByRange) {
   ASSERT_TRUE(db_->CompactRange(&m, &n).ok());
   EXPECT_EQ(db_->GetStats().compactions, 0u);
 
-  // A range over the x-file compacts exactly one file set.
+  // A range over the x-file runs one compaction.
   const Slice x_begin = "x";
   const Slice x_end = "xz";
   ASSERT_TRUE(db_->CompactRange(&x_begin, &x_end).ok());
@@ -326,9 +326,10 @@ TEST_F(ShardedDbTest, ManualCompactionRoutesByRange) {
 }
 
 // L0 files can overlap, and reads consult newest-first: a range compaction
-// that picks a newer L0 file must also pull every older L0 file whose key
-// span overlaps it (transitively), or the older file's stale versions
-// would surface after the newer file moved to L1.
+// that picks a newer L0 file must also take every older L0 file whose key
+// span overlaps it, directly or through another file, or the older file's
+// stale versions would surface after the newer file moved to L1. Taking
+// all of L0 covers that.
 TEST_F(ShardedDbTest, ManualCompactionPullsOverlappingOlderL0Files) {
   Options options = BaseOptions(1);
   options.disable_compaction = false;
@@ -345,7 +346,7 @@ TEST_F(ShardedDbTest, ManualCompactionPullsOverlappingOlderL0Files) {
   ASSERT_TRUE(db_->FlushMemTable(/*wait=*/true).ok());
 
   // The request only names "a", which only the newer file contains; the
-  // older file rides along via the transitive overlap on "b".
+  // older file, which shares "b" with it, rides along.
   const Slice a = "a";
   ASSERT_TRUE(db_->CompactRange(&a, &a).ok());
   EXPECT_EQ(Get("a"), "av");

@@ -175,5 +175,142 @@ TEST_F(VersionSetTest, HugeBlobCountsAreCorruption) {
   }
 }
 
+// The picker on hand-built Versions: no tables, no I/O.
+class PickCompactionTest : public ::testing::Test {
+ protected:
+  PickCompactionTest() : icmp_(BytewiseComparator()), v_(&icmp_) {
+    options_.l0_compaction_trigger = 2;
+    options_.max_bytes_for_level_base = 10000;
+  }
+
+  CompactionPick Pick(const KeyRange* manual = nullptr,
+                      const std::vector<uint64_t>& gc_segments = {}) const {
+    return v_.PickCompaction(options_, manual, gc_segments);
+  }
+
+  static std::vector<uint64_t> Numbers(const std::vector<FileMetaData>& files) {
+    std::vector<uint64_t> numbers;
+    for (const auto& f : files) numbers.push_back(f.number);
+    return numbers;
+  }
+
+  static FileMetaData Pinning(FileMetaData f, uint64_t segment) {
+    f.blob_refs = {segment};
+    return f;
+  }
+
+  InternalKeyComparator icmp_;
+  Options options_;
+  Version v_;
+};
+
+TEST_F(PickCompactionTest, NothingToDo) {
+  v_.files[0] = {MakeFile(9, "a", "c")};  // under the L0 trigger
+  v_.files[1] = {MakeFile(5, "a", "c")};  // under the L1 budget
+  EXPECT_EQ(Pick().level, -1);
+  EXPECT_TRUE(Pick().inputs.empty());
+}
+
+TEST_F(PickCompactionTest, SizePickTakesAllOfL0) {
+  v_.files[0] = {MakeFile(9, "m", "p"), MakeFile(8, "a", "c")};
+  const CompactionPick pick = Pick();
+  EXPECT_EQ(pick.level, 0);
+  EXPECT_EQ(pick.output_level, 1);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{9, 8}));
+  EXPECT_TRUE(pick.next_inputs.empty());
+  EXPECT_TRUE(pick.bottommost);
+}
+
+TEST_F(PickCompactionTest, SizePickAtL1TakesTheFirstFile) {
+  v_.files[1] = {MakeFile(5, "a", "c", 6000), MakeFile(6, "d", "f", 6000)};
+  v_.files[3] = {MakeFile(2, "a", "z")};
+  const CompactionPick pick = Pick();
+  EXPECT_EQ(pick.level, 1);
+  EXPECT_EQ(pick.output_level, 2);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{5}));
+  EXPECT_FALSE(pick.bottommost) << "L3 holds a file";
+}
+
+TEST_F(PickCompactionTest, NextLevelFilesThatOverlapJoin) {
+  v_.files[1] = {MakeFile(5, "c", "f", 20000)};
+  v_.files[2] = {MakeFile(10, "a", "b"), MakeFile(11, "c", "d"),
+                 MakeFile(12, "e", "h"), MakeFile(13, "i", "k")};
+  const CompactionPick pick = Pick();
+  EXPECT_EQ(pick.level, 1);
+  EXPECT_EQ(Numbers(pick.next_inputs), (std::vector<uint64_t>{11, 12}));
+  EXPECT_TRUE(pick.bottommost);
+}
+
+TEST_F(PickCompactionTest, ManualRangeAtL0TakesAllOfL0) {
+  v_.files[0] = {MakeFile(9, "x", "z"), MakeFile(8, "a", "c")};
+  v_.files[1] = {MakeFile(5, "b", "d"), MakeFile(6, "m", "n")};
+  const Slice b("b");
+  const KeyRange range{&b, &b};
+  const CompactionPick pick = Pick(&range);
+  EXPECT_EQ(pick.level, 0);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{9, 8}));
+  EXPECT_EQ(Numbers(pick.next_inputs), (std::vector<uint64_t>{5, 6}))
+      << "L0's whole span [a, z] overlaps both";
+
+  const Slice m("o");
+  const Slice n("p");
+  const KeyRange disjoint{&m, &n};
+  EXPECT_EQ(Pick(&disjoint).level, -1);
+}
+
+TEST_F(PickCompactionTest, ManualRangeAtL1TakesTheFirstOverlappingFile) {
+  v_.files[1] = {MakeFile(5, "a", "c"), MakeFile(6, "d", "f"), MakeFile(7, "g", "i")};
+  const Slice e("e");
+  const Slice h("h");
+  const KeyRange range{&e, &h};
+  const CompactionPick pick = Pick(&range);
+  EXPECT_EQ(pick.level, 1);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{6}));
+  const KeyRange unbounded;
+  EXPECT_EQ(Numbers(Pick(&unbounded).inputs), (std::vector<uint64_t>{5}));
+}
+
+TEST_F(PickCompactionTest, GcPicksTheLowestPinningLevel) {
+  options_.l0_compaction_trigger = 10;  // no size pick
+  v_.files[0] = {Pinning(MakeFile(9, "a", "c"), 3)};
+  v_.files[1] = {MakeFile(5, "a", "c"), Pinning(MakeFile(6, "d", "f"), 7)};
+  v_.files[2] = {Pinning(MakeFile(4, "a", "z"), 7)};
+  CompactionPick pick = Pick(nullptr, {7});
+  EXPECT_EQ(pick.level, 1);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{6}));
+  EXPECT_EQ(Numbers(pick.next_inputs), (std::vector<uint64_t>{4}));
+
+  // A pinning L0 file brings all of L0.
+  v_.files[0].push_back(Pinning(MakeFile(8, "x", "z"), 7));
+  pick = Pick(nullptr, {7});
+  EXPECT_EQ(pick.level, 0);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{9, 8}));
+
+  EXPECT_EQ(Pick(nullptr, {99}).level, -1) << "no file pins segment 99";
+}
+
+TEST_F(PickCompactionTest, NeighboursSharingABoundaryKeyJoin) {
+  // 5 and 6 share "k", 6 and 7 share "m": a store written before rolls
+  // kept to user-key boundaries.
+  v_.files[1] = {MakeFile(5, "a", "k", 20000), MakeFile(6, "k", "m"),
+                 MakeFile(7, "m", "p"), MakeFile(8, "q", "z")};
+  v_.files[2] = {MakeFile(10, "b", "c"), MakeFile(11, "c", "d"), MakeFile(12, "x", "z")};
+  const CompactionPick pick = Pick();
+  EXPECT_EQ(pick.level, 1);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{5, 6, 7}));
+  EXPECT_EQ(Numbers(pick.next_inputs), (std::vector<uint64_t>{10, 11}));
+}
+
+TEST_F(PickCompactionTest, LastLevelIsRewrittenInPlace) {
+  constexpr int kLast = kNumLevels - 1;
+  v_.files[kLast] = {MakeFile(5, "a", "c"), Pinning(MakeFile(6, "d", "f"), 7)};
+  const CompactionPick pick = Pick(nullptr, {7});
+  EXPECT_EQ(pick.level, kLast);
+  EXPECT_EQ(pick.output_level, kLast);
+  EXPECT_EQ(Numbers(pick.inputs), (std::vector<uint64_t>{6}));
+  EXPECT_TRUE(pick.next_inputs.empty());
+  EXPECT_TRUE(pick.bottommost);
+}
+
 }  // namespace
 }  // namespace lsmio::lsm
