@@ -2,7 +2,9 @@
 // the real-time costs behind the virtual CostModel constants used in the
 // figure benchmarks (EXPERIMENTS.md documents the mapping).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <memory>
 
 #include "common/crc32c.h"
@@ -15,6 +17,7 @@
 #include "lsm/memtable.h"
 #include "lsm/skiplist.h"
 #include "vfs/mem_vfs.h"
+#include "vfs/posix_vfs.h"
 
 namespace {
 
@@ -176,6 +179,43 @@ BENCHMARK(BM_DbGet);
 // and serves it from the read buffer without a copy.
 void BM_DbGetUncached(benchmark::State& state) { DbGet(state, /*disable_cache=*/true); }
 BENCHMARK(BM_DbGetUncached);
+
+// One memtable flush to the local file system: 32 MiB of 64 KiB values, the
+// paper's checkpoint buffer, built into a table, appended, and fsynced
+// before install. Only FlushMemTable is timed; each iteration starts a
+// fresh store in a temp directory.
+void BM_FlushPosix(benchmark::State& state) {
+  constexpr size_t kValueBytes = 64 * 1024;
+  constexpr int kValues = 512;  // 32 MiB
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("lsmio_bm_flush_" + std::to_string(::getpid()));
+  Options options;
+  options.vfs = &vfs::PosixVfs();
+  options.disable_wal = true;
+  options.disable_compaction = true;
+  options.write_buffer_size = 64 * 1024 * 1024;  // only the timed flush
+  const std::string value(kValueBytes, 'v');
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    std::unique_ptr<DB> db;
+    DB::Open(options, dir.string(), &db).IgnoreError();  // bench scratch store
+    for (int i = 0; i < kValues; ++i) {
+      db->Put({}, "key" + std::to_string(i), value).IgnoreError();
+    }
+    state.ResumeTiming();
+    db->FlushMemTable(true).IgnoreError();
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kValues *
+                          static_cast<int64_t>(kValueBytes));
+}
+// The flush runs on a background thread: rate it by wall time.
+BENCHMARK(BM_FlushPosix)->UseRealTime();
 
 }  // namespace
 

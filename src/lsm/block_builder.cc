@@ -53,11 +53,11 @@ void BlockBuilder::Add(const Slice& key, const Slice& value) {
   ++counter_;
 }
 
-Slice BlockBuilder::Finish() {
+std::string& BlockBuilder::Finish() {
   for (const uint32_t restart : restarts_) PutFixed32(&buffer_, restart);
   PutFixed32(&buffer_, static_cast<uint32_t>(restarts_.size()));
   finished_ = true;
-  return Slice(buffer_);
+  return buffer_;
 }
 
 }  // namespace lsmio::lsm

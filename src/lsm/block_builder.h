@@ -21,9 +21,10 @@ class BlockBuilder {
   /// Adds key/value; keys must arrive in strictly increasing order.
   void Add(const Slice& key, const Slice& value);
 
-  /// Appends the restart array + count and returns the finished block
-  /// contents (valid until Reset).
-  Slice Finish();
+  /// Appends the restart array + count and returns the buffer holding the
+  /// finished block contents, valid until Reset. The caller may append to
+  /// it: TableBuilder writes the block trailer there.
+  std::string& Finish();
 
   void Reset();
 

@@ -38,8 +38,10 @@ TableOutputWriter::~TableOutputWriter() {
 Status TableOutputWriter::OpenOutput() {
   current_.meta.number = new_file_number_();
   file_numbers_.push_back(current_.meta.number);
+  vfs::OpenOptions opts;
+  opts.write_behind = priority_ == RateLimiter::Priority::kHigh;
   LSMIO_RETURN_IF_ERROR(fs_.NewWritableFile(
-      TableFileName(dbname_, current_.meta.number), {}, &current_.file));
+      TableFileName(dbname_, current_.meta.number), opts, &current_.file));
   current_.file =
       MaybeRateLimit(std::move(current_.file), rate_limiter_, priority_);
   current_.builder = std::make_unique<TableBuilder>(

@@ -38,10 +38,13 @@ class TableOutputWriter {
   /// `new_file_number` hands out each output's number and must also shield
   /// it from the obsolete-file sweep; the caller lifts the shield when it
   /// installs the output. Table writes are charged to `rate_limiter` (null
-  /// = unlimited) at `priority`. With `roll`, an output that has reached
-  /// Options::target_file_size is finished before the next entry of a new
-  /// user key, which starts the next output: all versions of one user key
-  /// stay in one table. Otherwise every entry goes to one table.
+  /// = unlimited) at `priority`. kHigh outputs (the flushes writers wait
+  /// for) are opened write-behind, so their install fsync waits only for
+  /// the tail; kLow (compaction) outputs are not. With `roll`, an output
+  /// that has reached Options::target_file_size is finished before the
+  /// next entry of a new user key, which starts the next output: all
+  /// versions of one user key stay in one table. Otherwise every entry
+  /// goes to one table.
   TableOutputWriter(const std::string& dbname, vfs::Vfs& fs,
                     const Options& options, const InternalKeyComparator* icmp,
                     const FilterPolicy* filter_policy,

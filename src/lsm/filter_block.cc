@@ -21,14 +21,14 @@ void FilterBlockBuilder::AddKey(const Slice& key) {
   keys_.append(key.data(), key.size());
 }
 
-Slice FilterBlockBuilder::Finish() {
+std::string& FilterBlockBuilder::Finish() {
   if (!key_starts_.empty()) GenerateFilter();
 
   const uint32_t array_offset = static_cast<uint32_t>(result_.size());
   for (const uint32_t off : filter_offsets_) PutFixed32(&result_, off);
   PutFixed32(&result_, array_offset);
   result_.push_back(static_cast<char>(kFilterBaseLg));
-  return Slice(result_);
+  return result_;
 }
 
 void FilterBlockBuilder::GenerateFilter() {

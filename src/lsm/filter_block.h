@@ -21,7 +21,9 @@ class FilterBlockBuilder {
   /// Called when a data block starts at `block_offset`.
   void StartBlock(uint64_t block_offset);
   void AddKey(const Slice& key);
-  Slice Finish();
+  /// Returns the buffer holding the finished filter block. The caller may
+  /// append to it: TableBuilder writes the block trailer there.
+  std::string& Finish();
 
  private:
   void GenerateFilter();

@@ -99,21 +99,19 @@ void TableBuilder::Flush() {
 
 void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
   Rep* r = rep_.get();
-  const Slice raw = block->Finish();
+  std::string& raw = block->Finish();
 
-  Slice block_contents;
+  std::string* block_contents = &raw;
   CompressionType type = r->options.compression;
   switch (type) {
     case CompressionType::kNone:
-      block_contents = raw;
       break;
     case CompressionType::kLzLite: {
       LzLiteCompress(raw, &r->compressed_output);
       if (r->compressed_output.size() < raw.size() - raw.size() / 8) {
-        block_contents = Slice(r->compressed_output);
+        block_contents = &r->compressed_output;
       } else {
         // Not compressible enough: store raw.
-        block_contents = raw;
         type = CompressionType::kNone;
       }
       break;
@@ -124,21 +122,20 @@ void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
   block->Reset();
 }
 
-void TableBuilder::WriteRawBlock(const Slice& contents, CompressionType type,
+void TableBuilder::WriteRawBlock(std::string* contents, CompressionType type,
                                  BlockHandle* handle) {
   Rep* r = rep_.get();
+  const size_t size = contents->size();
   handle->set_offset(r->offset);
-  handle->set_size(contents.size());
-  r->status = r->file->Append(contents);
-  if (r->status.ok()) {
-    char trailer[kBlockTrailerSize];
-    trailer[0] = static_cast<char>(type);
-    uint32_t crc = crc32c::Value(contents.data(), contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    r->status = r->file->Append(Slice(trailer, kBlockTrailerSize));
-    if (r->status.ok()) r->offset += contents.size() + kBlockTrailerSize;
-  }
+  handle->set_size(size);
+  char trailer[kBlockTrailerSize];
+  trailer[0] = static_cast<char>(type);
+  uint32_t crc = crc32c::Value(contents->data(), size);
+  crc = crc32c::Extend(crc, trailer, 1);
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  contents->append(trailer, kBlockTrailerSize);
+  r->status = r->file->Append(Slice(*contents));
+  if (r->status.ok()) r->offset += size + kBlockTrailerSize;
 }
 
 Status TableBuilder::Finish() {
@@ -153,7 +150,7 @@ Status TableBuilder::Finish() {
 
   // Filter block (raw, uncompressed).
   if (r->status.ok() && r->filter_block != nullptr) {
-    WriteRawBlock(r->filter_block->Finish(), CompressionType::kNone,
+    WriteRawBlock(&r->filter_block->Finish(), CompressionType::kNone,
                   &filter_block_handle);
   }
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/slice.h"
 #include "common/status.h"
@@ -50,7 +51,9 @@ class TableBuilder {
   struct Rep;
 
   void WriteBlock(BlockBuilder* block, class BlockHandle* handle);
-  void WriteRawBlock(const Slice& contents, CompressionType type,
+  /// Appends `*contents` and its trailer in one write: the trailer goes at
+  /// the end of the block's own buffer, which the caller resets or drops.
+  void WriteRawBlock(std::string* contents, CompressionType type,
                      class BlockHandle* handle);
 
   std::unique_ptr<Rep> rep_;

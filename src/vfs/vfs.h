@@ -33,6 +33,15 @@ struct OpenOptions {
   /// O_DIRECT-style hint: bypass OS caching. Honoured only by simulation
   /// cost models; PosixVfs treats it as advisory.
   bool direct = false;
+  /// Write-behind hint for a WritableFile: the backend may start device
+  /// writeback of appended bytes before Sync, so the final Sync waits only
+  /// for the tail. Advisory and never a durability point: only Sync is.
+  /// PosixVfs starts writeback of each MiB as it is appended; other
+  /// backends ignore it. TableOutputWriter sets it on flush outputs, whose
+  /// install fsync gates writer admission. Compaction outputs leave it off:
+  /// writing them behind let compactions run more often and slowed
+  /// concurrent reads (DESIGN.md §7).
+  bool write_behind = false;
 };
 
 /// Append-only file being written.

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/random.h"
+#include "common/synchronization.h"
 #include "common/units.h"
 #include "vfs/mem_vfs.h"
 
@@ -421,6 +422,170 @@ TEST_F(DbTest, ApproximateMemoryUsageGrowsAndResets) {
   const uint64_t before = db_->ApproximateMemoryUsage();
   ASSERT_TRUE(db_->Put({}, "k", std::string(1 * MiB, 'x')).ok());
   EXPECT_GT(db_->ApproximateMemoryUsage(), before + 512 * KiB);
+}
+
+// Vfs decorator that records, per created file, whether it was opened with
+// OpenOptions::write_behind.
+class WriteBehindRecordingVfs final : public vfs::Vfs {
+ public:
+  explicit WriteBehindRecordingVfs(vfs::Vfs& base) : base_(base) {}
+
+  /// Path → write_behind of every file created since the last Clear.
+  std::map<std::string, bool> Created() const {
+    MutexLock lock(&mu_);
+    return created_;
+  }
+  void Clear() {
+    MutexLock lock(&mu_);
+    created_.clear();
+  }
+
+  Status NewWritableFile(const std::string& path, const vfs::OpenOptions& opts,
+                         std::unique_ptr<vfs::WritableFile>* file) override {
+    {
+      MutexLock lock(&mu_);
+      created_[path] = opts.write_behind;
+    }
+    return base_.NewWritableFile(path, opts, file);
+  }
+  Status NewRandomAccessFile(const std::string& path, const vfs::OpenOptions& opts,
+                             std::unique_ptr<vfs::RandomAccessFile>* file) override {
+    return base_.NewRandomAccessFile(path, opts, file);
+  }
+  Status NewSequentialFile(const std::string& path, const vfs::OpenOptions& opts,
+                           std::unique_ptr<vfs::SequentialFile>* file) override {
+    return base_.NewSequentialFile(path, opts, file);
+  }
+  Status OpenFileHandle(const std::string& path, bool create,
+                        const vfs::OpenOptions& opts,
+                        std::unique_ptr<vfs::FileHandle>* file) override {
+    return base_.OpenFileHandle(path, create, opts, file);
+  }
+  bool FileExists(const std::string& path) override { return base_.FileExists(path); }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return base_.GetFileSize(path, size);
+  }
+  Status RemoveFile(const std::string& path) override { return base_.RemoveFile(path); }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_.RenameFile(from, to);
+  }
+  Status CreateDir(const std::string& path) override { return base_.CreateDir(path); }
+  Status ListDir(const std::string& path, std::vector<std::string>* out) override {
+    return base_.ListDir(path, out);
+  }
+
+ private:
+  vfs::Vfs& base_;
+  mutable Mutex mu_;
+  std::map<std::string, bool> created_ GUARDED_BY(mu_);
+};
+
+bool EndsWith(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// Counts the recorded files whose path ends in `suffix`, split by flag.
+struct Opened {
+  int write_behind = 0;
+  int plain = 0;
+};
+Opened CountOpened(const WriteBehindRecordingVfs& fs, const std::string& suffix) {
+  Opened n;
+  for (const auto& [path, write_behind] : fs.Created()) {
+    if (!EndsWith(path, suffix)) continue;
+    ++(write_behind ? n.write_behind : n.plain);
+  }
+  return n;
+}
+
+// Only the flushes writers wait for write their tables behind; compaction
+// outputs, the WAL, MANIFEST, CURRENT and blob segments open as before.
+TEST(WriteBehindTest, OnlyFlushTablesWriteBehind) {
+  vfs::MemVfs mem;
+  WriteBehindRecordingVfs fs(mem);
+  Options options;
+  options.vfs = &fs;
+  options.write_buffer_size = 64 * KiB;
+  options.disable_compaction = false;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  EXPECT_EQ(CountOpened(fs, ".log").plain, 1);
+  EXPECT_EQ(CountOpened(fs, ".log").write_behind, 0);
+  EXPECT_EQ(CountOpened(fs, "/CURRENT.tmp").plain, 1);
+  EXPECT_EQ(CountOpened(fs, "/CURRENT.tmp").write_behind, 0);
+  int manifests = 0;
+  for (const auto& [path, write_behind] : fs.Created()) {
+    if (path.find("/MANIFEST-") == std::string::npos) continue;
+    ++manifests;
+    EXPECT_FALSE(write_behind) << path;
+  }
+  EXPECT_GE(manifests, 1);
+
+  // Memtable flush.
+  fs.Clear();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db->Put({}, "k" + std::to_string(i), "a").ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable(true).ok());
+  EXPECT_EQ(CountOpened(fs, ".sst").write_behind, 1);
+  EXPECT_EQ(CountOpened(fs, ".sst").plain, 0);
+
+  // Compaction output.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db->Put({}, "k" + std::to_string(i), "b").ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable(true).ok());
+  fs.Clear();
+  ASSERT_TRUE(db->CompactRange().ok());
+  EXPECT_GE(CountOpened(fs, ".sst").plain, 1);
+  EXPECT_EQ(CountOpened(fs, ".sst").write_behind, 0);
+
+  // WAL-replay flush at reopen: the unflushed puts come back as a table.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db->Put({}, "k" + std::to_string(i), "c").ok());
+  }
+  db.reset();
+  fs.Clear();
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  EXPECT_EQ(CountOpened(fs, ".sst").write_behind, 1);
+  EXPECT_EQ(CountOpened(fs, ".sst").plain, 0);
+  EXPECT_EQ(CountOpened(fs, ".log").write_behind, 0);
+  std::string value;
+  ASSERT_TRUE(db->Get({}, "k7", &value).ok());
+  EXPECT_EQ(value, "c");
+}
+
+TEST(WriteBehindTest, ShardedStoreFlushesWriteBehind) {
+  vfs::MemVfs mem;
+  WriteBehindRecordingVfs fs(mem);
+  Options options;
+  options.vfs = &fs;
+  options.num_shards = 4;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db->Put({}, "k" + std::to_string(i), "v").ok());
+  }
+  fs.Clear();
+  ASSERT_TRUE(db->FlushMemTable(true).ok());
+  EXPECT_EQ(CountOpened(fs, ".sst").write_behind, 4);
+  EXPECT_EQ(CountOpened(fs, ".sst").plain, 0);
+}
+
+TEST(WriteBehindTest, BlobSegmentsDoNotWriteBehind) {
+  vfs::MemVfs mem;
+  WriteBehindRecordingVfs fs(mem);
+  Options options;
+  options.vfs = &fs;
+  options.value_log_threshold = 256;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ASSERT_TRUE(db->Put({}, "big", std::string(4 * KiB, 'x')).ok());
+  ASSERT_TRUE(db->FlushMemTable(true).ok());
+  EXPECT_GE(CountOpened(fs, ".blob").plain, 1);
+  EXPECT_EQ(CountOpened(fs, ".blob").write_behind, 0);
+  EXPECT_EQ(CountOpened(fs, ".sst").write_behind, 1);
 }
 
 }  // namespace

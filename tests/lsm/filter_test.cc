@@ -122,7 +122,7 @@ TEST(FilterBlockTest, MalformedContentsFailOpen) {
   FilterBlockBuilder builder(policy.get());
   builder.StartBlock(0);
   builder.AddKey("present");
-  const std::string valid = builder.Finish().ToString();
+  const std::string valid = builder.Finish();
   ASSERT_FALSE(FilterBlockReader(policy.get(), valid).KeyMayMatch(0, "absent"));
   for (const unsigned char base_lg : {64, 200}) {
     std::string contents = valid;

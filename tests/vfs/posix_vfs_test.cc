@@ -5,6 +5,10 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "common/rate_limiter.h"
+#include "vfs/fault_vfs.h"
+#include "vfs/trace_vfs.h"
+
 namespace lsmio::vfs {
 namespace {
 
@@ -109,6 +113,74 @@ TEST_F(PosixVfsTest, LargeSequentialReadInChunks) {
   ASSERT_TRUE(ReadFileToString(fs, Path("big"), &contents).ok());
   EXPECT_EQ(contents.size(), payload.size());
   EXPECT_EQ(contents, payload);
+}
+
+/// Rise in the process-wide write-behind counters.
+struct WritebackRise {
+  uint64_t calls = 0;
+  uint64_t bytes = 0;
+};
+
+/// Writes 3.5 MiB in 64 KiB appends to `path` through `fs` (wrapped in a
+/// rate limiter when `limiter` is set), syncs and closes it, checks that it
+/// reads back byte-identical and returns the counters' rise.
+WritebackRise WriteThreeAndAHalfMiB(Vfs& fs, const std::string& path,
+                                    bool write_behind,
+                                    RateLimiter* limiter = nullptr) {
+  constexpr size_t kChunk = 64 * 1024;
+  constexpr size_t kChunks = 56;  // 3.5 MiB
+  const PosixVfsStats& stats = GetPosixVfsStats();
+  const uint64_t calls0 = stats.writeback_calls.load();
+  const uint64_t bytes0 = stats.writeback_bytes.load();
+  OpenOptions opts;
+  opts.write_behind = write_behind;
+  std::unique_ptr<WritableFile> file;
+  EXPECT_TRUE(fs.NewWritableFile(path, opts, &file).ok());
+  if (file == nullptr) return {};
+  file = MaybeRateLimit(std::move(file), limiter, RateLimiter::Priority::kHigh);
+  std::string payload;
+  for (size_t i = 0; i < kChunks; ++i) {
+    const std::string chunk(kChunk, static_cast<char>('a' + i % 26));
+    EXPECT_TRUE(file->Append(chunk).ok());
+    payload += chunk;
+  }
+  EXPECT_TRUE(file->Sync().ok());
+  EXPECT_TRUE(file->Close().ok());
+  std::string contents;
+  EXPECT_TRUE(ReadFileToString(fs, path, &contents).ok());
+  EXPECT_TRUE(contents == payload) << path << " did not read back intact";
+  return {stats.writeback_calls.load() - calls0,
+          stats.writeback_bytes.load() - bytes0};
+}
+
+TEST_F(PosixVfsTest, WriteBehindStartsWritebackOfEachMiB) {
+  // Writeback starts at 1, 2 and 3 MiB; the half-MiB tail is left to Sync.
+  const WritebackRise rise = WriteThreeAndAHalfMiB(PosixVfs(), Path("wb"), true);
+  EXPECT_EQ(rise.calls, 3u);
+  EXPECT_EQ(rise.bytes, 3u << 20);
+
+  const WritebackRise off = WriteThreeAndAHalfMiB(PosixVfs(), Path("plain"), false);
+  EXPECT_EQ(off.calls, 0u);
+  EXPECT_EQ(off.bytes, 0u);
+}
+
+TEST_F(PosixVfsTest, WriteBehindSurvivesEveryWrapper) {
+  FaultVfs fault(PosixVfs());
+  TraceContext ctx(1);
+  TraceVfs trace(PosixVfs(), ctx, 0);
+  RateLimiter limiter(1ull << 40);
+  struct Case {
+    const char* name;
+    Vfs& fs;
+    RateLimiter* limiter;
+  };
+  for (const Case& c : {Case{"fault", fault, nullptr}, Case{"trace", trace, nullptr},
+                        Case{"rate_limited", PosixVfs(), &limiter}}) {
+    const WritebackRise rise =
+        WriteThreeAndAHalfMiB(c.fs, Path(c.name), true, c.limiter);
+    EXPECT_EQ(rise.calls, 3u) << c.name;
+    EXPECT_EQ(rise.bytes, 3u << 20) << c.name;
+  }
 }
 
 }  // namespace
