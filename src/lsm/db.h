@@ -91,7 +91,7 @@ using StatValue = std::conditional_t<K == StatKind::kHistogram, Histogram, uint6
   X(bloom_useful, kCounter, "probes that proved a key absent")                                     \
   X(block_cache_hits, kCounter, "block-cache lookups that hit")                                    \
   X(block_cache_misses, kCounter, "block-cache lookups that missed")                               \
-  X(readahead_bytes, kCounter, "bytes hinted ahead to the VFS")                                    \
+  X(readahead_bytes, kCounter, "bytes table iterators read in readahead windows")                  \
   /* health */                                                                                     \
   X(read_only_mode, kGaugeMax, "1 once a background error latched the engine read-only")           \
   /* sharding and compaction parallelism */                                                        \
@@ -202,9 +202,6 @@ class DB {
   virtual void GetShardStats(std::vector<DbStats>* out) const {
     out->assign(1, GetStats());
   }
-
-  /// Approximate bytes held by active+immutable memtables.
-  virtual uint64_t ApproximateMemoryUsage() const = 0;
 };
 
 }  // namespace lsmio::lsm

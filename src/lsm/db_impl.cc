@@ -135,15 +135,15 @@ Status DBImpl::Initialize() {
     return Status::InvalidArgument(dbname_ + " exists (error_if_exists=true)");
   }
 
+  bool save_manifest = false;
+  std::vector<uint64_t> logs;
+  bool blob_files_on_disk = false;
   if (exists) {
-    bool save_manifest = false;
     LSMIO_RETURN_IF_ERROR(versions_->Recover(&save_manifest));
 
     // Replay any WAL files at or after the recorded log number, in order.
     std::vector<std::string> children;
     LSMIO_RETURN_IF_ERROR(fs().ListDir(dbname_, &children));
-    std::vector<uint64_t> logs;
-    bool blob_files_on_disk = false;
     for (const auto& child : children) {
       uint64_t number;
       FileType type;
@@ -155,33 +155,25 @@ Status DBImpl::Initialize() {
       }
     }
     std::sort(logs.begin(), logs.end());
-
-    // The value log must be open before WAL replay: replayed pointer ops
-    // are validated against the blob segments, and a store created with
-    // value_log_threshold > 0 but reopened with 0 must still resolve (and
-    // eventually GC) its existing pointers.
-    if (options_.value_log_threshold > 0 || blob_files_on_disk ||
-        !versions_->recovered_blob_segments().empty()) {
-      vlog_ = std::make_unique<ValueLog>(options_, dbname_, &fs());
-      LSMIO_RETURN_IF_ERROR(vlog_->Open(versions_->recovered_blob_segments()));
-      versions_->SetBlobSegmentProvider(
-          [this] { return vlog_->LiveSegments(); });
-    }
-    SequenceNumber max_sequence = versions_->LastSequence();
-    for (const uint64_t log_number : logs) {
-      LSMIO_RETURN_IF_ERROR(RecoverLogFile(log_number, &max_sequence));
-    }
-    versions_->SetLastSequence(max_sequence);
-    if (save_manifest && !options_.read_only) {
-      LSMIO_RETURN_IF_ERROR(versions_->WriteSnapshot());
-    }
   }
 
-  if (vlog_ == nullptr && options_.value_log_threshold > 0) {
-    // Fresh store with separation enabled.
+  // The value log must be open before WAL replay: replayed pointer ops
+  // are validated against the blob segments, and a store created with
+  // value_log_threshold > 0 but reopened with 0 must still resolve (and
+  // eventually GC) its existing pointers.
+  if (options_.value_log_threshold > 0 || blob_files_on_disk ||
+      !versions_->recovered_blob_segments().empty()) {
     vlog_ = std::make_unique<ValueLog>(options_, dbname_, &fs());
-    LSMIO_RETURN_IF_ERROR(vlog_->Open({}));
+    LSMIO_RETURN_IF_ERROR(vlog_->Open(versions_->recovered_blob_segments()));
     versions_->SetBlobSegmentProvider([this] { return vlog_->LiveSegments(); });
+  }
+  SequenceNumber max_sequence = versions_->LastSequence();
+  for (const uint64_t log_number : logs) {
+    LSMIO_RETURN_IF_ERROR(RecoverLogFile(log_number, &max_sequence));
+  }
+  versions_->SetLastSequence(max_sequence);
+  if (save_manifest && !options_.read_only) {
+    LSMIO_RETURN_IF_ERROR(versions_->WriteSnapshot());
   }
 
   // Fresh active memtable + WAL (read-only recovery may already have
@@ -236,7 +228,7 @@ class ValidatingMemTableInserter final : public WriteBatch::Handler {
   void PutPointer(const Slice& key, const Slice& pointer) override {
     ValuePointer ptr;
     if (DecodeValuePointer(pointer, &ptr) &&
-        vlog_->ValidatePointer(ptr, key).ok()) {
+        vlog_->ReadValue(ptr, key, /*value=*/nullptr).ok()) {
       mem_->Add(sequence_, ValueType::kValuePointer, key, pointer);
     } else {
       ++dropped_;
@@ -597,11 +589,15 @@ void DBImpl::RefreshWritePressure() {
   }
 }
 
-void DBImpl::ReportPoolUsage(bool wrote) {
-  if (pool_attachment_ == 0) return;
+uint64_t DBImpl::MemTableBytes() const {
   uint64_t bytes = mem_ != nullptr ? mem_->ApproximateMemoryUsage() : 0;
   for (const MemTable* imm : imm_queue_) bytes += imm->ApproximateMemoryUsage();
-  options_.write_memory_pool->UpdateUsage(pool_attachment_, bytes, wrote);
+  return bytes;
+}
+
+void DBImpl::ReportPoolUsage(bool wrote) {
+  if (pool_attachment_ == 0) return;
+  options_.write_memory_pool->UpdateUsage(pool_attachment_, MemTableBytes(), wrote);
 }
 
 void DBImpl::RequestArbiterFlush() {
@@ -1108,7 +1104,7 @@ Status DBImpl::CompactFiles(const CompactionPick& pick,
       // and re-point this entry there — same internal key, so the entry's
       // sequence (and therefore snapshot visibility) is untouched.
       std::string blob_value;
-      Status rs = vlog_->ReadValue(ptr, &blob_value);
+      Status rs = vlog_->ReadValue(ptr, ikey.user_key, &blob_value);
       if (rs.ok()) {
         ValuePointer new_ptr;
         rs = vlog_->Append(ikey.user_key, Slice(blob_value),
@@ -1269,15 +1265,8 @@ Status DBImpl::Lookup(const ReadOptions& options, const ReadView& view,
   }
 
   // Resolve separated values (outside mu_; the pinned Version guards the
-  // segments against GC deletion). Pointers are read in (segment, offset)
-  // order, and each same-segment run of two or more is hinted to the VFS
-  // first, so a batch that hits one segment turns into one readahead
-  // window; a lone pointer reads exactly its record and needs no hint.
-  struct Resolve {
-    Version::GetRequest* req;
-    ValuePointer ptr;
-  };
-  InlineVector<Resolve, 4> resolves;
+  // segments against GC deletion) through the value log's run read.
+  InlineVector<ValueLog::Request, 4> resolves;
   for (Version::GetRequest* req : reqs) {
     if (!req->is_pointer || !req->status->ok()) continue;
     ValuePointer ptr;
@@ -1285,28 +1274,10 @@ Status DBImpl::Lookup(const ReadOptions& options, const ReadView& view,
       *req->status = Status::Corruption("unresolvable value-log pointer");
       continue;
     }
-    resolves.push_back(Resolve{req, ptr});
+    resolves.push_back(
+        ValueLog::Request{ptr, req->lkey->user_key(), req->value, req->status});
   }
-  std::sort(resolves.begin(), resolves.end(), [](const Resolve& a, const Resolve& b) {
-    if (a.ptr.segment != b.ptr.segment) return a.ptr.segment < b.ptr.segment;
-    return a.ptr.offset < b.ptr.offset;
-  });
-  for (size_t run = 0; run < resolves.size();) {
-    size_t end = run + 1;
-    uint64_t span_end = resolves[run].ptr.offset + resolves[run].ptr.length;
-    while (end < resolves.size() &&
-           resolves[end].ptr.segment == resolves[run].ptr.segment) {
-      span_end = std::max(span_end, resolves[end].ptr.offset + resolves[end].ptr.length);
-      ++end;
-    }
-    if (end - run > 1) {
-      vlog_->Hint(resolves[run].ptr, span_end - resolves[run].ptr.offset);
-    }
-    run = end;
-  }
-  for (const Resolve& r : resolves) {
-    *r.req->status = vlog_->ReadValue(r.ptr, r.req->value);
-  }
+  if (!resolves.empty()) vlog_->ReadValues({resolves.data(), resolves.size()});
   return walk;
 }
 
@@ -1463,11 +1434,7 @@ DbStats DBImpl::GetStats() const {
   stats.readahead_bytes = read_counters_.readahead_bytes.load(relaxed);
   stats.multiget_coalesced_reads = read_counters_.coalesced_reads.load(relaxed);
   if (vlog_ != nullptr) vlog_->FillStats(&stats);
-  uint64_t mem_bytes = mem_ != nullptr ? mem_->ApproximateMemoryUsage() : 0;
-  for (const MemTable* imm : imm_queue_) {
-    mem_bytes += imm->ApproximateMemoryUsage();
-  }
-  stats.memtable_bytes = mem_bytes;
+  stats.memtable_bytes = MemTableBytes();
   if (block_cache_ != nullptr) {
     stats.tenant_cache_bytes = options_.tenant_id != 0
                                    ? block_cache_->OwnerCharge(options_.tenant_id)
@@ -1478,13 +1445,6 @@ DbStats DBImpl::GetStats() const {
     stats.write_pool_budget_bytes = options_.write_memory_pool->Budget();
   }
   return stats;
-}
-
-uint64_t DBImpl::ApproximateMemoryUsage() const {
-  MutexLock lock(&mu_);
-  uint64_t total = mem_ != nullptr ? mem_->ApproximateMemoryUsage() : 0;
-  for (const MemTable* imm : imm_queue_) total += imm->ApproximateMemoryUsage();
-  return total;
 }
 
 // --- static entry points --------------------------------------------------------
@@ -1508,7 +1468,7 @@ Status DB::Open(const Options& options, const std::string& name,
           "; reopening with num_shards=" + std::to_string(requested) +
           " is not supported");
     }
-    return ShardedDB::Open(options, name, dbptr);
+    return ShardedDB::Open(options, name, /*exists=*/true, dbptr);
   }
   if (!marker.IsNotFound()) return marker;
   if (requested > 1) {
@@ -1517,7 +1477,7 @@ Status DB::Open(const Options& options, const std::string& name,
           name + " was created unsharded (num_shards=1); reopening with "
           "num_shards=" + std::to_string(requested) + " is not supported");
     }
-    return ShardedDB::Open(options, name, dbptr);
+    return ShardedDB::Open(options, name, /*exists=*/false, dbptr);
   }
 
   auto impl = std::make_unique<DBImpl>(options, name);

@@ -87,7 +87,6 @@ class DBImpl final : public DB {
   Status CompactRange(const Slice* begin, const Slice* end) override;
   Status HealthStatus() const override;
   DbStats GetStats() const override;
-  uint64_t ApproximateMemoryUsage() const override;
 
  private:
   friend class DB;
@@ -152,6 +151,8 @@ class DBImpl final : public DB {
   Status ReadOnlyError() const REQUIRES(mu_);
 
   // --- global write-memory pool (Options::write_memory_pool) ---
+  /// Memtable residency: active plus immutable bytes.
+  uint64_t MemTableBytes() const REQUIRES(mu_);
   /// Reports current memtable residency (active + immutable bytes) to the
   /// pool; `wrote` marks write activity for its cold-first victim policy.
   /// May synchronously invoke victim callbacks (ours or other stores') —

@@ -45,7 +45,7 @@ class DBIter final : public Iterator {
       if (vlog_ == nullptr || !DecodeValuePointer(raw, &ptr)) {
         resolve_status_ = Status::Corruption("unresolvable value pointer");
       } else {
-        resolve_status_ = vlog_->ReadValue(ptr, &resolved_value_);
+        resolve_status_ = vlog_->ReadValue(ptr, key(), &resolved_value_);
       }
       if (!resolve_status_.ok() && status_.ok()) status_ = resolve_status_;
     }

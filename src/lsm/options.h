@@ -43,8 +43,6 @@ struct Options {
   /// (or ranks) open the same store concurrently for reading; all write
   /// operations fail with InvalidArgument.
   bool read_only = false;
-  /// Aggressive checksum verification on every read path.
-  bool paranoid_checks = false;
 
   // --- paper §3.1.1 knobs ---------------------------------------------------
 
@@ -197,8 +195,10 @@ struct ReadOptions {
   bool fill_cache = true;
   /// Read at this snapshot sequence number; 0 means "latest".
   uint64_t snapshot_sequence = 0;
-  /// Sequential readahead window: table iterators hint this many bytes
-  /// ahead of the current block to the VFS. 0 disables.
+  /// Sequential readahead window: a table iterator stepping forward past
+  /// the bytes it last read reads this many (at most 1 MiB, at least the
+  /// block) with one VFS read, and serves the blocks inside from them.
+  /// 0 reads each block alone.
   uint64_t readahead_bytes = 0;
 };
 

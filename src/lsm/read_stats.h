@@ -13,10 +13,11 @@ struct ReadCounters {
   /// data-block fetch).
   std::atomic<uint64_t> bloom_checked{0};
   std::atomic<uint64_t> bloom_useful{0};
-  /// Block-cache outcome per block fetch (data, index and filter blocks).
+  /// Block-cache outcome per data-block fetch (a miss when the cache is
+  /// off).
   std::atomic<uint64_t> block_cache_hits{0};
   std::atomic<uint64_t> block_cache_misses{0};
-  /// Bytes hinted ahead to the VFS by table iterators.
+  /// Bytes table iterators read in readahead windows.
   std::atomic<uint64_t> readahead_bytes{0};
   /// Physical reads saved by MultiGet coalescing adjacent data blocks into
   /// one VFS read.

@@ -83,16 +83,14 @@ size_t ShardedDB::ShardOf(const Slice& key) const {
 }
 
 Status ShardedDB::Open(const Options& options, const std::string& name,
-                       std::unique_ptr<DB>* dbptr) {
+                       bool exists, std::unique_ptr<DB>* dbptr) {
   const int n = options.num_shards;
   if (n < 2) {
     return Status::InvalidArgument("ShardedDB requires num_shards > 1");
   }
   vfs::Vfs& fs = options.vfs != nullptr ? *options.vfs : vfs::PosixVfs();
 
-  int on_disk = 0;
-  const Status marker = ReadShardsMarker(fs, name, &on_disk);
-  if (marker.IsNotFound()) {
+  if (!exists) {
     if (options.read_only) {
       return Status::NotFound(name + " does not exist (read_only open)");
     }
@@ -106,17 +104,8 @@ Status ShardedDB::Open(const Options& options, const std::string& name,
     LSMIO_RETURN_IF_ERROR(vfs::WriteStringToFile(
         fs, ShardsMarkerFileName(name),
         std::string(kMarkerMagic) + " " + std::to_string(n) + "\n"));
-  } else {
-    LSMIO_RETURN_IF_ERROR(marker);
-    if (on_disk != n) {
-      return Status::InvalidArgument(
-          name + " was created with num_shards=" + std::to_string(on_disk) +
-          "; reopening with num_shards=" + std::to_string(n) +
-          " is not supported");
-    }
-    if (options.error_if_exists) {
-      return Status::InvalidArgument(name + " exists (error_if_exists=true)");
-    }
+  } else if (options.error_if_exists) {
+    return Status::InvalidArgument(name + " exists (error_if_exists=true)");
   }
 
   std::unique_ptr<ShardedDB> db(new ShardedDB(options, name));
@@ -362,14 +351,6 @@ void ShardedDB::GetShardStats(std::vector<DbStats>* out) const {
   for (const auto& shard : shards_) {
     out->push_back(shard->GetStats());
   }
-}
-
-uint64_t ShardedDB::ApproximateMemoryUsage() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->ApproximateMemoryUsage();
-  }
-  return total;
 }
 
 }  // namespace lsmio::lsm

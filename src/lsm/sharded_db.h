@@ -48,10 +48,11 @@ Status ReadShardsMarker(vfs::Vfs& fs, const std::string& dbname,
 
 class ShardedDB final : public DB {
  public:
-  /// Opens/creates the sharded store; options.num_shards must be > 1 and
-  /// match the on-disk marker when one exists.
+  /// Opens/creates the sharded store; options.num_shards must be > 1.
+  /// `exists`: DB::Open found the SHARDS marker and checked its shard count
+  /// against options.num_shards.
   static Status Open(const Options& options, const std::string& name,
-                     std::unique_ptr<DB>* dbptr);
+                     bool exists, std::unique_ptr<DB>* dbptr);
 
   /// Removes every shard's files plus the SHARDS marker.
   static Status DestroyShards(const Options& options, const std::string& name,
@@ -77,7 +78,6 @@ class ShardedDB final : public DB {
   Status HealthStatus() const override;
   DbStats GetStats() const override;
   void GetShardStats(std::vector<DbStats>* out) const override;
-  uint64_t ApproximateMemoryUsage() const override;
 
  private:
   struct ShardedSnapshot;

@@ -1,7 +1,6 @@
 #include "lsm/table.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/coding.h"
 #include "common/inline_vector.h"
@@ -17,9 +16,14 @@ namespace lsmio::lsm {
 
 namespace {
 
-/// Upper bound on one coalesced MultiGet read (several adjacent blocks
-/// fetched with a single VFS read).
-constexpr uint64_t kMaxCoalescedReadBytes = 1 << 20;
+/// Upper bound on one run read (several adjacent blocks fetched with a
+/// single VFS read), for MultiGet runs and iterator readahead windows alike.
+constexpr uint64_t kMaxRunBytes = 1 << 20;
+
+/// File offset just past `handle`'s block and its trailer.
+uint64_t BlockEnd(const BlockHandle& handle) {
+  return handle.offset() + handle.size() + kBlockTrailerSize;
+}
 
 void DeleteCachedBlock(const Slice&, void* value) {
   delete static_cast<Block*>(value);
@@ -28,6 +32,21 @@ void DeleteCachedBlock(const Slice&, void* value) {
 void DeleteCachedFilterData(const Slice&, void* value) {
   delete static_cast<std::string*>(value);
 }
+
+/// File bytes [start, end) fetched with one VFS read: by MultiGet for a
+/// run of adjacent cache-missing blocks, by an iterator for one readahead
+/// window (or one block). Each block inside is decoded from these bytes.
+struct Run {
+  uint64_t start = 0;
+  uint64_t end = 0;
+  Slice bytes;         // the run's bytes: into `buffer`, or mmap'd memory
+  std::string buffer;
+
+  /// True when the block at `handle` lies wholly inside the run.
+  [[nodiscard]] bool Holds(const BlockHandle& handle) const {
+    return handle.offset() >= start && BlockEnd(handle) <= end;
+  }
+};
 
 }  // namespace
 
@@ -53,10 +72,6 @@ struct Table::Rep {
   Cache::Handle* filter_handle = nullptr;
   std::unique_ptr<FilterBlockReader> filter;  // over the pinned filter bytes
 
-  /// End of the last readahead window hinted to the VFS; avoids re-hinting
-  /// the same range for every block of a sequential scan.
-  std::atomic<uint64_t> hinted_end{0};
-
   [[nodiscard]] bool use_cache() const {
     return block_cache != nullptr && !options.disable_cache;
   }
@@ -76,12 +91,74 @@ struct Table::Rep {
                                options.tenant_id);
   }
 
-  void CountCacheHit() const {
-    if (counters) counters->block_cache_hits.fetch_add(1, std::memory_order_relaxed);
+  /// Decodes the data-block handle of an index entry. Corruption unless the
+  /// block and its trailer end at or before the metaindex, so no run read
+  /// or run offset computed from it can wrap.
+  Status DecodeDataHandle(Slice index_value, BlockHandle* handle) const {
+    LSMIO_RETURN_IF_ERROR(handle->DecodeFrom(&index_value));
+    const uint64_t limit = metaindex_handle.offset();
+    if (handle->size() > limit || limit - handle->size() < kBlockTrailerSize ||
+        handle->offset() > limit - handle->size() - kBlockTrailerSize) {
+      return Status::Corruption("data block handle out of range");
+    }
+    return Status::OK();
   }
-  void CountCacheMiss() const {
-    if (counters) counters->block_cache_misses.fetch_add(1, std::memory_order_relaxed);
+
+  // --- the run read: every data block is fetched through these three ---
+
+  /// Probes the block cache for the data block at `offset` and counts the
+  /// outcome (a miss when the cache is off). Returns the pinned block, or
+  /// null.
+  Cache::Handle* LookupBlock(uint64_t offset) const {
+    Cache::Handle* handle = nullptr;
+    if (use_cache()) {
+      char key[16];
+      CacheKey(offset, key);
+      handle = block_cache->Lookup(Slice(key, sizeof key));
+    }
+    if (counters) {
+      (handle != nullptr ? counters->block_cache_hits : counters->block_cache_misses)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    return handle;
   }
+
+  /// Reads the file bytes [start, end) into *run with one VFS read.
+  Status ReadRun(uint64_t start, uint64_t end, Run* run) const {
+    run->start = run->end = start;
+    LSMIO_RETURN_IF_ERROR(file->Read(start, static_cast<size_t>(end - start),
+                                     &run->bytes, &run->buffer));
+    if (run->bytes.size() != end - start) {
+      return Status::Corruption("truncated block read");
+    }
+    run->end = end;
+    return Status::OK();
+  }
+
+  /// Makes the block at `handle`, which `run` holds, readable: decoded into
+  /// the block cache when the read fills it (*cache_handle pins it), else
+  /// *view points into the run's bytes, or into *scratch when the block is
+  /// compressed.
+  Status DecodeBlock(const ReadOptions& read_options, const Run& run,
+                     const BlockHandle& handle, std::string* scratch,
+                     Cache::Handle** cache_handle, Slice* view) const {
+    const Slice raw(run.bytes.data() + (handle.offset() - run.start),
+                    static_cast<size_t>(BlockEnd(handle) - handle.offset()));
+    if (!use_cache() || !read_options.fill_cache) {
+      return DecodeBlockView(raw, read_options, /*always_verify=*/false, scratch, view);
+    }
+    std::string contents;
+    LSMIO_RETURN_IF_ERROR(
+        DecodeBlockContents(raw, read_options, /*always_verify=*/false, &contents));
+    auto* block = new Block(std::move(contents));
+    *cache_handle = Insert(handle.offset(), block, block->size(), DeleteCachedBlock);
+    return Status::OK();
+  }
+
+  /// An iterator over the data block at `index_value`, fetched from the
+  /// cache, from the scan's current `window`, or by reading a new window.
+  Iterator* NewBlockIterator(const ReadOptions& read_options, const Slice& index_value,
+                             std::shared_ptr<Run>* window) const;
 };
 
 Table::Table(std::unique_ptr<Rep> rep) : rep_(std::move(rep)) {}
@@ -119,10 +196,8 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   LSMIO_RETURN_IF_ERROR(footer.DecodeFrom(&footer_input));
 
   // Read the index block (always checksum-verified: it's small and vital).
-  ReadOptions opt;
-  opt.verify_checksums = options.paranoid_checks;
   std::string index_contents;
-  LSMIO_RETURN_IF_ERROR(ReadBlockContents(file, opt, /*always_verify=*/true,
+  LSMIO_RETURN_IF_ERROR(ReadBlockContents(file, {}, /*always_verify=*/true,
                                           footer.index_handle(), &index_contents));
 
   auto rep = std::make_unique<Rep>();
@@ -155,10 +230,8 @@ Status Table::ReadFilter(const Footer& footer) {
   Rep* r = rep_.get();
   if (r->filter_policy == nullptr) return Status::OK();
 
-  ReadOptions opt;
-  opt.verify_checksums = r->options.paranoid_checks;
   std::string meta_contents;
-  LSMIO_RETURN_IF_ERROR(ReadBlockContents(r->file, opt, false,
+  LSMIO_RETURN_IF_ERROR(ReadBlockContents(r->file, {}, false,
                                           footer.metaindex_handle(),
                                           &meta_contents));
   Block meta(std::move(meta_contents));
@@ -172,7 +245,7 @@ Status Table::ReadFilter(const Footer& footer) {
   LSMIO_RETURN_IF_ERROR(filter_handle.DecodeFrom(&v));
   auto filter_data = std::make_unique<std::string>();
   LSMIO_RETURN_IF_ERROR(
-      ReadBlockContents(r->file, opt, false, filter_handle, filter_data.get()));
+      ReadBlockContents(r->file, {}, false, filter_handle, filter_data.get()));
 
   const Slice contents(*filter_data);
   if (r->use_cache()) {
@@ -198,79 +271,60 @@ bool Table::FilterKeyMayMatch(uint64_t block_offset, const Slice& user_key) cons
   return may_match;
 }
 
-void Table::MaybeReadahead(const ReadOptions& options,
-                           const BlockHandle& handle) const {
-  if (options.readahead_bytes == 0) return;
-  Rep* r = rep_.get();
-  const uint64_t span = handle.size() + kBlockTrailerSize;
-  const uint64_t need = handle.offset() + span;
-  if (need <= r->hinted_end.load(std::memory_order_relaxed)) return;
-  const uint64_t len = std::max<uint64_t>(span, options.readahead_bytes);
-  r->file->Hint(handle.offset(), len);
-  r->hinted_end.store(handle.offset() + len, std::memory_order_relaxed);
-  if (r->counters) {
-    r->counters->readahead_bytes.fetch_add(len, std::memory_order_relaxed);
-  }
-}
-
-Iterator* Table::NewBlockIterator(const ReadOptions& options,
-                                  const Slice& index_value) const {
-  Rep* r = rep_.get();
-  Slice input = index_value;
+Iterator* Table::Rep::NewBlockIterator(const ReadOptions& read_options,
+                                       const Slice& index_value,
+                                       std::shared_ptr<Run>* window) const {
   BlockHandle handle;
-  Status s = handle.DecodeFrom(&input);
+  Status s = DecodeDataHandle(index_value, &handle);
   if (!s.ok()) return NewErrorIterator(s);
 
-  MaybeReadahead(options, handle);
-
-  // Block-cache key: cache_id (8) | block offset (8).
-  Block* block = nullptr;
-  Cache::Handle* cache_handle = nullptr;
-  const bool use_cache = r->use_cache();
-
-  if (use_cache) {
-    char cache_key[16];
-    r->CacheKey(handle.offset(), cache_key);
-    cache_handle = r->block_cache->Lookup(Slice(cache_key, sizeof cache_key));
-    if (cache_handle != nullptr) {
-      r->CountCacheHit();
-      block = static_cast<Block*>(r->block_cache->Value(cache_handle));
-    } else {
-      r->CountCacheMiss();
-      std::string contents;
-      s = ReadBlockContents(r->file, options, r->options.paranoid_checks,
-                            handle, &contents);
-      if (!s.ok()) return NewErrorIterator(s);
-      block = new Block(std::move(contents));
-      if (options.fill_cache) {
-        cache_handle = r->Insert(handle.offset(), block, block->size(),
-                                 DeleteCachedBlock);
+  Cache::Handle* cache_handle = LookupBlock(handle.offset());
+  if (cache_handle == nullptr) {
+    if (!(*window)->Holds(handle)) {
+      uint64_t end = BlockEnd(handle);
+      // A block at or past the window's start is a forward step: read a
+      // whole window from it. Behind the window (a backward step or a
+      // Seek), only the block itself.
+      if (read_options.readahead_bytes > 0 && handle.offset() >= (*window)->start) {
+        const uint64_t len = std::min<uint64_t>(read_options.readahead_bytes, kMaxRunBytes);
+        end = std::max(end, std::min(handle.offset() + len, metaindex_handle.offset()));
+        if (counters) {
+          counters->readahead_bytes.fetch_add(end - handle.offset(),
+                                              std::memory_order_relaxed);
+        }
       }
+      // A block iterator still viewing the old window keeps those bytes;
+      // otherwise the buffer is reused.
+      if (window->use_count() != 1) *window = std::make_shared<Run>();
+      s = ReadRun(handle.offset(), end, window->get());
+      if (!s.ok()) return NewErrorIterator(s);
     }
-  } else {
-    std::string contents;
-    s = ReadBlockContents(r->file, options, r->options.paranoid_checks, handle,
-                          &contents);
+    std::string scratch;
+    Slice view;
+    s = DecodeBlock(read_options, **window, handle, &scratch, &cache_handle, &view);
     if (!s.ok()) return NewErrorIterator(s);
-    block = new Block(std::move(contents));
+    if (cache_handle == nullptr) {
+      auto* block = view.data() == scratch.data() ? new Block(std::move(scratch))
+                                                  : new Block(view);
+      Iterator* iter = block->NewIterator(comparator);
+      iter->RegisterCleanup([block, run = *window] { delete block; });
+      return iter;
+    }
   }
-
-  Iterator* iter = block->NewIterator(r->comparator);
-  if (cache_handle != nullptr) {
-    Cache* cache = r->block_cache;
-    iter->RegisterCleanup([cache, cache_handle] { cache->Release(cache_handle); });
-  } else if (!use_cache || !options.fill_cache) {
-    iter->RegisterCleanup([block] { delete block; });
-  }
+  Iterator* iter =
+      static_cast<Block*>(block_cache->Value(cache_handle))->NewIterator(comparator);
+  Cache* cache = block_cache;
+  iter->RegisterCleanup([cache, cache_handle] { cache->Release(cache_handle); });
   return iter;
 }
 
 Iterator* Table::NewIterator(const ReadOptions& options) const {
-  const Table* self = this;
+  const Rep* r = rep_.get();
   return NewTwoLevelIterator(
-      rep_->index->NewIterator(rep_->comparator),
-      [self](const ReadOptions& opts, const Slice& index_value) {
-        return self->NewBlockIterator(opts, index_value);
+      r->index->NewIterator(r->comparator),
+      [r, window = std::make_shared<Run>()](const ReadOptions& opts,
+                                            const Slice& index_value) mutable {
+        return r->NewBlockIterator(opts, index_value, &window);
       },
       options);
 }
@@ -331,8 +385,7 @@ Status Table::MultiGet(
           LSMIO_RETURN_IF_ERROR(index_iter->status());
           break;  // sorted: every remaining key is also past the last block
         }
-        Slice hv = index_iter->value();
-        LSMIO_RETURN_IF_ERROR(handle.DecodeFrom(&hv));
+        LSMIO_RETURN_IF_ERROR(r->DecodeDataHandle(index_iter->value(), &handle));
         positioned = true;
       }
       if (ikey.size() >= 8 &&
@@ -349,19 +402,7 @@ Status Table::MultiGet(
   if (work.empty()) return Status::OK();
 
   // Pass 2: cache lookups, so that pass 3 knows which blocks to read.
-  const bool use_cache = r->use_cache();
-  for (BlockWork& w : work) {
-    if (use_cache) {
-      char cache_key[16];
-      r->CacheKey(w.handle.offset(), cache_key);
-      w.cache_handle = r->block_cache->Lookup(Slice(cache_key, sizeof cache_key));
-    }
-    if (w.cache_handle != nullptr) {
-      r->CountCacheHit();
-    } else {
-      r->CountCacheMiss();
-    }
-  }
+  for (BlockWork& w : work) w.cache_handle = r->LookupBlock(w.handle.offset());
 
   // Pass 3: seek each key inside its block, in block order. Runs of
   // adjacent missing blocks are fetched with one VFS read, and a run's
@@ -380,8 +421,7 @@ Status Table::MultiGet(
     }
     return Status::OK();
   };
-  const bool cache_fill = use_cache && options.fill_cache;
-  std::string buffer;        // the current run's bytes
+  Run run;
   std::string decompressed;  // the current block's, when not cached
   for (size_t j = 0; j < work.size();) {
     if (work[j].cache_handle != nullptr) {
@@ -390,65 +430,34 @@ Status Table::MultiGet(
       ++j;
       continue;
     }
-    // Extend the run while blocks are physically adjacent
-    // (offset + size + trailer == next offset) and also missing.
+    // Extend the run while blocks are physically adjacent and also missing.
     size_t k = j;
-    const uint64_t start = work[j].handle.offset();
-    uint64_t end = start + work[j].handle.size() + kBlockTrailerSize;
     while (k + 1 < work.size() && work[k + 1].cache_handle == nullptr &&
-           work[k + 1].handle.offset() == end &&
-           end - start + work[k + 1].handle.size() + kBlockTrailerSize <=
-               kMaxCoalescedReadBytes) {
+           work[k + 1].handle.offset() == BlockEnd(work[k].handle) &&
+           BlockEnd(work[k + 1].handle) - work[j].handle.offset() <= kMaxRunBytes) {
       ++k;
-      end = work[k].handle.offset() + work[k].handle.size() + kBlockTrailerSize;
     }
-    Slice raw;
     LSMIO_RETURN_IF_ERROR(
-        r->file->Read(start, static_cast<size_t>(end - start), &raw, &buffer));
-    if (raw.size() != end - start) {
-      return Status::Corruption("truncated coalesced block read");
-    }
+        r->ReadRun(work[j].handle.offset(), BlockEnd(work[k].handle), &run));
     if (k > j && r->counters) {
       r->counters->coalesced_reads.fetch_add(k - j, std::memory_order_relaxed);
     }
     for (; j <= k; ++j) {
       BlockWork& w = work[j];
-      const Slice block_raw(
-          raw.data() + (w.handle.offset() - start),
-          static_cast<size_t>(w.handle.size()) + kBlockTrailerSize);
-      if (cache_fill) {
-        std::string contents;
-        LSMIO_RETURN_IF_ERROR(DecodeBlockContents(block_raw, options,
-                                                  r->options.paranoid_checks,
-                                                  &contents));
-        auto* block = new Block(std::move(contents));
-        w.cache_handle = r->Insert(w.handle.offset(), block, block->size(),
-                                   DeleteCachedBlock);
-        LSMIO_RETURN_IF_ERROR(seek_keys(block, w.keys_end));
+      Slice view;
+      LSMIO_RETURN_IF_ERROR(r->DecodeBlock(options, run, w.handle, &decompressed,
+                                           &w.cache_handle, &view));
+      if (w.cache_handle != nullptr) {
+        LSMIO_RETURN_IF_ERROR(seek_keys(
+            static_cast<Block*>(r->block_cache->Value(w.cache_handle)), w.keys_end));
       } else {
-        // Zero-copy: the block views the read buffer, or the decompressed
-        // bytes when the block is compressed.
-        Slice view;
-        LSMIO_RETURN_IF_ERROR(DecodeBlockView(block_raw, options,
-                                              r->options.paranoid_checks,
-                                              &decompressed, &view));
+        // Zero-copy: the block views the run, or the decompressed bytes.
         Block block(view);
         LSMIO_RETURN_IF_ERROR(seek_keys(&block, w.keys_end));
       }
     }
   }
   return Status::OK();
-}
-
-uint64_t Table::ApproximateOffsetOf(const Slice& internal_key) const {
-  std::unique_ptr<Iterator> index_iter(rep_->index->NewIterator(rep_->comparator));
-  index_iter->Seek(internal_key);
-  if (index_iter->Valid()) {
-    Slice input = index_iter->value();
-    BlockHandle handle;
-    if (handle.DecodeFrom(&input).ok()) return handle.offset();
-  }
-  return rep_->metaindex_handle.offset();  // ≈ file end
 }
 
 }  // namespace lsmio::lsm

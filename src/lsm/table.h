@@ -1,7 +1,8 @@
 // Immutable SSTable reader: footer → index/metaindex/filter blocks, block
 // cache integration, iteration via the two-level iterator, and lookups
-// (MultiGet, one key or many) that probe the bloom filter and coalesce
-// adjacent data-block reads into single VFS reads.
+// (MultiGet, one key or many) that probe the bloom filter. Every data block
+// is fetched through one run read: a cache probe, then one VFS read of a
+// run of adjacent blocks, each decoded from the shared buffer.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,6 @@
 
 namespace lsmio::lsm {
 
-class Block;
-class BlockHandle;
 class Comparator;
 class FilterPolicy;
 struct ReadCounters;
@@ -46,9 +45,11 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
-  /// Iterator over the table's (internal key, value) entries. When
-  /// options.readahead_bytes > 0, each block fetch hints the VFS that many
-  /// bytes ahead (sequential-scan readahead for compaction/restore).
+  /// Iterator over the table's (internal key, value) entries. With
+  /// options.readahead_bytes = W > 0, a forward step to a block outside the
+  /// last read window reads one window of max(block, min(W, 1 MiB)) bytes
+  /// starting at that block and serves every block wholly inside it from
+  /// that buffer; with W = 0, or behind the window, a block is read alone.
   Iterator* NewIterator(const ReadOptions& options) const;
 
   /// Looks up `internal_keys`, which must be sorted ascending by the
@@ -63,21 +64,13 @@ class Table {
                   const std::function<void(size_t, const Slice&, const Slice&)>&
                       handle_result) const;
 
-  /// Approximate file offset where `internal_key` would live.
-  uint64_t ApproximateOffsetOf(const Slice& internal_key) const;
-
  private:
   struct Rep;
   explicit Table(std::unique_ptr<Rep> rep);
 
-  Iterator* NewBlockIterator(const ReadOptions& options, const Slice& index_value) const;
-
   /// False when the bloom filter proves `user_key` absent from the data
   /// block at `block_offset`.
   bool FilterKeyMayMatch(uint64_t block_offset, const Slice& user_key) const;
-  /// Issues a VFS readahead hint covering `handle` when the current hinted
-  /// window does not already reach past it.
-  void MaybeReadahead(const ReadOptions& options, const BlockHandle& handle) const;
 
   /// Reads and pins the bloom filter named by the metaindex, if any.
   Status ReadFilter(const class Footer& footer);

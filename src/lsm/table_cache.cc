@@ -58,10 +58,7 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
 }
 
 Iterator* TableCache::NewIterator(const ReadOptions& options,
-                                  uint64_t file_number, uint64_t file_size,
-                                  Table** tableptr) {
-  if (tableptr != nullptr) *tableptr = nullptr;
-
+                                  uint64_t file_number, uint64_t file_size) {
   Cache::Handle* handle = nullptr;
   Status s = FindTable(file_number, file_size, &handle);
   if (!s.ok()) return NewErrorIterator(s);
@@ -70,7 +67,6 @@ Iterator* TableCache::NewIterator(const ReadOptions& options,
   Iterator* result = tf->table->NewIterator(options);
   Cache* cache = cache_.get();
   result->RegisterCleanup([cache, handle] { cache->Release(handle); });
-  if (tableptr != nullptr) *tableptr = tf->table.get();
   return result;
 }
 

@@ -21,7 +21,6 @@ namespace lsmio::lsm {
 
 class Comparator;
 class FilterPolicy;
-class Table;
 struct ReadCounters;
 
 class TableCache {
@@ -38,11 +37,9 @@ class TableCache {
   TableCache(const TableCache&) = delete;
   TableCache& operator=(const TableCache&) = delete;
 
-  /// Iterator over table `file_number` (size `file_size`). If `tableptr` is
-  /// non-null it receives the underlying Table (valid while the iterator
-  /// lives).
+  /// Iterator over table `file_number` (size `file_size`).
   Iterator* NewIterator(const ReadOptions& options, uint64_t file_number,
-                        uint64_t file_size, Table** tableptr = nullptr);
+                        uint64_t file_size);
 
   /// Lookup in table `file_number`; `internal_keys` must be sorted
   /// ascending. handle_result(i, key, value) fires per located entry (same

@@ -102,9 +102,11 @@ class TwoLevelIterator final : public Iterator {
     if (data_iter_ != nullptr && handle == data_block_handle_) {
       return;  // already positioned in this block
     }
-    Iterator* iter = block_function_(options_, handle);
+    // Drop the current block first: its bytes may then be reused for the
+    // next one.
+    SetDataIterator(nullptr);
     data_block_handle_.assign(handle.data(), handle.size());
-    SetDataIterator(iter);
+    SetDataIterator(block_function_(options_, handle));
   }
 
   std::function<Iterator*(const ReadOptions&, const Slice&)> block_function_;

@@ -18,11 +18,19 @@ constexpr uint64_t kMaxRecordSize = 1ULL << 32;
 /// Bounded cache of open segment read handles.
 constexpr size_t kMaxOpenSegments = 64;
 
-/// Parses a checksummed record; on success key/value point into `rec`.
-Status ParseRecord(const Slice& rec, Slice* key, Slice* value) {
-  if (rec.size() < kMinRecordSize) {
-    return Status::Corruption("blob record too short");
-  }
+/// Longest run of adjacent records resolved with one read.
+constexpr uint64_t kMaxRunBytes = 1 << 20;
+
+/// False when `ptr` cannot address a record: a length no record has, or a
+/// record end that wraps.
+bool PointerInRange(const ValuePointer& ptr) {
+  return ptr.length >= kMinRecordSize && ptr.length <= kMaxRecordSize &&
+         ptr.offset <= UINT64_MAX - ptr.length;
+}
+
+/// Verifies the checksummed record `rec` and that it was written for
+/// `user_key`; on success *value points into `rec`.
+Status ParseRecord(const Slice& rec, const Slice& user_key, Slice* value) {
   const uint32_t expected = crc32c::Unmask(DecodeFixed32(rec.data()));
   const uint32_t actual = crc32c::Value(rec.data() + 4, rec.size() - 4);
   if (actual != expected) {
@@ -37,7 +45,9 @@ Status ParseRecord(const Slice& rec, Slice* key, Slice* value) {
   if (in.size() != static_cast<uint64_t>(klen) + vlen) {
     return Status::Corruption("blob record length mismatch");
   }
-  *key = Slice(in.data(), klen);
+  if (Slice(in.data(), klen) != user_key) {
+    return Status::Corruption("blob record key mismatch");
+  }
   *value = Slice(in.data() + klen, vlen);
   return Status::OK();
 }
@@ -231,49 +241,61 @@ void ValueLog::EvictSegmentHandle(uint64_t segment) const {
   handles_.erase(segment);
 }
 
-Status ValueLog::ReadRecord(const ValuePointer& ptr, std::string* key,
-                            std::string* value) const {
-  if (ptr.length < kMinRecordSize || ptr.length > kMaxRecordSize) {
-    return Status::Corruption("blob pointer length out of range");
+void ValueLog::ReadValues(std::span<Request> reqs) const {
+  std::sort(reqs.begin(), reqs.end(), [](const Request& a, const Request& b) {
+    if (a.ptr.segment != b.ptr.segment) return a.ptr.segment < b.ptr.segment;
+    return a.ptr.offset < b.ptr.offset;
+  });
+  std::string buffer;
+  for (size_t i = 0; i < reqs.size();) {
+    const ValuePointer& first = reqs[i].ptr;
+    if (!PointerInRange(first)) {
+      *reqs[i++].status = Status::Corruption("blob pointer out of range");
+      continue;
+    }
+    uint64_t end = first.offset + first.length;
+    size_t k = i + 1;
+    for (; k < reqs.size(); ++k) {
+      const ValuePointer& next = reqs[k].ptr;
+      if (next.segment != first.segment || next.offset > end ||
+          !PointerInRange(next) ||
+          std::max(end, next.offset + next.length) - first.offset > kMaxRunBytes) {
+        break;
+      }
+      end = std::max(end, next.offset + next.length);
+    }
+    std::shared_ptr<vfs::RandomAccessFile> file;
+    Slice run;
+    Status s = GetSegmentHandle(first.segment, &file);
+    if (s.ok()) {
+      s = file->Read(first.offset, static_cast<size_t>(end - first.offset), &run,
+                     &buffer);
+    }
+    for (; i < k; ++i) {
+      const Request& req = reqs[i];
+      const uint64_t at = req.ptr.offset - first.offset;
+      Slice value;
+      Status rs = s;
+      if (rs.ok()) {
+        // A run can end short at the segment's end; only records it holds
+        // whole resolve.
+        rs = at + req.ptr.length > run.size()
+                 ? Status::Corruption("blob record truncated")
+                 : ParseRecord(Slice(run.data() + at, req.ptr.length), req.user_key,
+                               &value);
+      }
+      if (rs.ok() && req.value != nullptr) req.value->assign(value.data(), value.size());
+      *req.status = rs;
+    }
   }
-  std::shared_ptr<vfs::RandomAccessFile> file;
-  Status s = GetSegmentHandle(ptr.segment, &file);
-  if (!s.ok()) return s;
-  std::string scratch;
-  Slice rec;
-  s = file->Read(ptr.offset, static_cast<size_t>(ptr.length), &rec, &scratch);
-  if (!s.ok()) return s;
-  if (rec.size() != ptr.length) {
-    return Status::Corruption("blob record truncated");
-  }
-  Slice parsed_key;
-  Slice parsed_value;
-  s = ParseRecord(rec, &parsed_key, &parsed_value);
-  if (!s.ok()) return s;
-  if (key != nullptr) key->assign(parsed_key.data(), parsed_key.size());
-  if (value != nullptr) value->assign(parsed_value.data(), parsed_value.size());
-  return Status::OK();
 }
 
-Status ValueLog::ReadValue(const ValuePointer& ptr, std::string* value) const {
-  return ReadRecord(ptr, nullptr, value);
-}
-
-Status ValueLog::ValidatePointer(const ValuePointer& ptr,
-                                 const Slice& expected_key) const {
-  std::string key;
-  Status s = ReadRecord(ptr, &key, nullptr);
-  if (!s.ok()) return s;
-  if (Slice(key) != expected_key) {
-    return Status::Corruption("blob record key mismatch");
-  }
-  return Status::OK();
-}
-
-void ValueLog::Hint(const ValuePointer& ptr, uint64_t span) const {
-  std::shared_ptr<vfs::RandomAccessFile> file;
-  if (!GetSegmentHandle(ptr.segment, &file).ok()) return;
-  file->Hint(ptr.offset, static_cast<size_t>(span));
+Status ValueLog::ReadValue(const ValuePointer& ptr, const Slice& user_key,
+                           std::string* value) const {
+  Status s;
+  Request req{ptr, user_key, value, &s};
+  ReadValues({&req, 1});
+  return s;
 }
 
 bool ValueLog::Contains(uint64_t segment) const {

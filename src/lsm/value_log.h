@@ -35,6 +35,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,18 +103,26 @@ class ValueLog {
 
   // --- read path -----------------------------------------------------------
 
-  /// Reads and checksum-verifies the record at `ptr`; returns the value.
-  Status ReadValue(const ValuePointer& ptr, std::string* value) const;
-  /// Reads and checksum-verifies the record at `ptr`; returns key and value.
-  Status ReadRecord(const ValuePointer& ptr, std::string* key,
-                    std::string* value) const;
-  /// Verifies that `ptr` addresses an intact record for `expected_key`
-  /// (WAL replay uses this to drop pointers whose blob bytes did not
-  /// survive a crash — only unacknowledged writes can be in that state).
-  Status ValidatePointer(const ValuePointer& ptr, const Slice& expected_key) const;
-  /// Readahead hint covering [ptr.offset, ptr.offset + span) of the
-  /// segment; MultiGet uses it to coalesce resolution of sorted pointers.
-  void Hint(const ValuePointer& ptr, uint64_t span) const;
+  /// One pointer to resolve: the user key it is stored under, and where
+  /// the value (when `value` is not null) and the outcome go.
+  struct Request {
+    ValuePointer ptr;
+    Slice user_key;
+    std::string* value = nullptr;
+    Status* status = nullptr;
+  };
+
+  /// Resolves `reqs` in (segment, offset) order, sorting them. A record
+  /// joins the current run when it starts at or before the run's end and
+  /// the run stays within 1 MiB; each run is one VFS read, and each record
+  /// is verified from the shared buffer: its checksum, its framing, and
+  /// that it was written for `user_key` (Corruption otherwise). WAL replay
+  /// uses the key check to drop pointers whose blob bytes did not survive a
+  /// crash (only unacknowledged writes can be in that state).
+  void ReadValues(std::span<Request> reqs) const;
+  /// ReadValues for one pointer.
+  Status ReadValue(const ValuePointer& ptr, const Slice& user_key,
+                   std::string* value) const;
 
   // --- accounting & GC -----------------------------------------------------
 

@@ -1,26 +1,19 @@
 #include "vfs/posix_vfs.h"
 
-#include "common/synchronization.h"
-
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 
 #include "common/logging.h"
 
 namespace lsmio::vfs {
 namespace {
-
-/// Prefetch windows are aligned down to this boundary and capped so a
-/// runaway hint cannot pin unbounded memory.
-constexpr uint64_t kPrefetchAlign = 4096;
-constexpr size_t kMaxPrefetchBytes = 4 << 20;
 
 /// A write-behind file starts writeback each time at least this many bytes
 /// have been appended since the last start.
@@ -126,16 +119,6 @@ class PosixRandomAccessFile final : public RandomAccessFile {
       *result = Slice(static_cast<const char*>(map_) + offset, want);
       return Status::OK();
     }
-    if (want > 0 && prefetch_active_.load(std::memory_order_acquire)) {
-      MutexLock lock(&prefetch_mu_);
-      if (offset >= prefetch_offset_ &&
-          offset + want <= prefetch_offset_ + prefetch_.size()) {
-        scratch->assign(prefetch_.data() + (offset - prefetch_offset_), want);
-        *result = Slice(*scratch);
-        GetPosixVfsStats().prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      }
-    }
     scratch->resize(want);
     size_t done = 0;
     while (done < want) {
@@ -153,67 +136,12 @@ class PosixRandomAccessFile final : public RandomAccessFile {
     return Status::OK();
   }
 
-  void Hint(uint64_t offset, size_t length) const override {
-    if (offset >= size_ || length == 0) return;
-    length = std::min<uint64_t>(length, size_ - offset);
-    PosixVfsStats& stats = GetPosixVfsStats();
-    stats.hint_calls.fetch_add(1, std::memory_order_relaxed);
-    stats.hint_bytes.fetch_add(length, std::memory_order_relaxed);
-    if (map_ != nullptr) {
-      // Already mapped: nudge the page cache; no buffer needed.
-      const uint64_t start = offset & ~(kPrefetchAlign - 1);
-      ::madvise(static_cast<char*>(map_) + start,
-                static_cast<size_t>(offset + length - start), MADV_WILLNEED);
-      return;
-    }
-#ifdef POSIX_FADV_WILLNEED
-    ::posix_fadvise(fd_, static_cast<off_t>(offset),
-                    static_cast<off_t>(length), POSIX_FADV_WILLNEED);
-#endif
-    // Fill the aligned prefetch window so the caller's subsequent small
-    // block reads are served from one large pread instead of many.
-    length = std::min(length, kMaxPrefetchBytes);
-    MutexLock lock(&prefetch_mu_);
-    if (offset >= prefetch_offset_ &&
-        offset + length <= prefetch_offset_ + prefetch_.size()) {
-      return;  // window already covers the hinted range
-    }
-    const uint64_t start = offset & ~(kPrefetchAlign - 1);
-    const size_t want = static_cast<size_t>(offset + length - start);
-    prefetch_.resize(want);
-    size_t done = 0;
-    while (done < want) {
-      const ssize_t r = ::pread(fd_, prefetch_.data() + done, want - done,
-                                static_cast<off_t>(start + done));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        done = 0;  // advisory only: drop the window on error
-        break;
-      }
-      if (r == 0) break;
-      done += static_cast<size_t>(r);
-    }
-    prefetch_.resize(done);
-    prefetch_offset_ = start;
-    prefetch_active_.store(done > 0, std::memory_order_release);
-  }
-
   uint64_t Size() const override { return size_; }
 
  private:
   int fd_;         // unguarded: immutable after open
   uint64_t size_;  // unguarded: immutable after open
   void* map_;      // unguarded: immutable after open
-
-  /// Readahead window filled by Hint; files are immutable once opened, so
-  /// served bytes can never be stale.
-  mutable Mutex prefetch_mu_;
-  /// Cheap pre-check read outside prefetch_mu_ (acquire pairs with the
-  /// release store in Hint); the guarded window state is re-checked under
-  /// the lock before any byte is served.
-  mutable std::atomic<bool> prefetch_active_{false};
-  mutable std::string prefetch_ GUARDED_BY(prefetch_mu_);
-  mutable uint64_t prefetch_offset_ GUARDED_BY(prefetch_mu_) = 0;
 };
 
 class PosixSequentialFile final : public SequentialFile {

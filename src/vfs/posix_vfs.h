@@ -10,18 +10,12 @@
 namespace lsmio::vfs {
 
 /// Process-wide counters for posix-specific behaviour that callers cannot
-/// otherwise observe: readahead hints, write-behind and the mmap→pread
-/// fallback.
+/// otherwise observe: write-behind and the mmap→pread fallback.
 struct PosixVfsStats {
-  /// RandomAccessFile::Hint invocations and the bytes they covered.
-  std::atomic<uint64_t> hint_calls{0};
-  std::atomic<uint64_t> hint_bytes{0};
   /// Successful write-behind writeback starts (OpenOptions::write_behind)
   /// and the bytes they covered.
   std::atomic<uint64_t> writeback_calls{0};
   std::atomic<uint64_t> writeback_bytes{0};
-  /// Reads served entirely from the Hint prefetch buffer (no syscall).
-  std::atomic<uint64_t> prefetch_hits{0};
   /// use_mmap opens where mmap failed and the file silently degraded to
   /// pread (also logged once per process).
   std::atomic<uint64_t> mmap_fallbacks{0};

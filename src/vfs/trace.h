@@ -7,7 +7,6 @@
 // lands in the wrapped Vfs (normally MemVfs) so results stay verifiable.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -100,20 +99,6 @@ class TraceContext {
   [[nodiscard]] uint64_t BytesWrittenInPhase() const;
   [[nodiscard]] uint64_t BytesReadInPhase() const;
 
-  /// Accounts a readahead hint. Hints are advisory and not part of the
-  /// replayable op stream (LustreSim has no fadvise), so they are kept as
-  /// aggregate counters rather than a new IoOpKind.
-  void RecordHint(uint64_t bytes) {
-    hint_ops_.fetch_add(1, std::memory_order_relaxed);
-    hint_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t HintOps() const {
-    return hint_ops_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t HintBytes() const {
-    return hint_bytes_.load(std::memory_order_relaxed);
-  }
-
  private:
   int num_ranks_;  // unguarded: immutable after construction
   // unguarded: each rank's trace is appended only under its own
@@ -124,9 +109,6 @@ class TraceContext {
   mutable Mutex intern_mu_;
   std::unordered_map<std::string, uint32_t> path_to_id_ GUARDED_BY(intern_mu_);
   std::vector<std::string> id_to_path_ GUARDED_BY(intern_mu_);
-
-  std::atomic<uint64_t> hint_ops_{0};
-  std::atomic<uint64_t> hint_bytes_{0};
 };
 
 }  // namespace lsmio::vfs

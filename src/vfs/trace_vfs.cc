@@ -65,11 +65,6 @@ class TracedRandom final : public RandomAccessFile {
     return s;
   }
 
-  void Hint(uint64_t offset, size_t length) const override {
-    ctx_.RecordHint(length);
-    inner_->Hint(offset, length);
-  }
-
   uint64_t Size() const override { return inner_->Size(); }
 
  private:

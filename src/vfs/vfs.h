@@ -66,10 +66,10 @@ class RandomAccessFile {
   /// mmap'd memory) and is valid until the next call / file close.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       std::string* scratch) const = 0;
-  /// Advisory: the caller expects to read [offset, offset+length) soon,
-  /// typically sequentially. Backends may prefetch; correctness never
-  /// depends on it. Default (and MemVfs): no-op — memory is already
-  /// "prefetched".
+  /// Advisory: the caller expects to read [offset, offset+length) soon.
+  /// No library code calls it (readers fetch their own runs, see
+  /// lsm::Table); kept, as a no-op, for out-of-tree decorators that
+  /// override and forward it.
   virtual void Hint(uint64_t offset, size_t length) const {
     (void)offset;
     (void)length;

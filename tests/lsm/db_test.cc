@@ -419,9 +419,9 @@ TEST_F(DbTest, ApproximateMemoryUsageGrowsAndResets) {
   Options options = BaseOptions();
   options.write_buffer_size = 4 * MiB;  // no flush during the test
   Open(options);
-  const uint64_t before = db_->ApproximateMemoryUsage();
+  const uint64_t before = db_->GetStats().memtable_bytes;
   ASSERT_TRUE(db_->Put({}, "k", std::string(1 * MiB, 'x')).ok());
-  EXPECT_GT(db_->ApproximateMemoryUsage(), before + 512 * KiB);
+  EXPECT_GT(db_->GetStats().memtable_bytes, before + 512 * KiB);
 }
 
 // Vfs decorator that records, per created file, whether it was opened with

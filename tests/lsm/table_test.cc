@@ -6,13 +6,19 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/random.h"
+#include "lsm/block.h"
+#include "lsm/block_builder.h"
 #include "lsm/cache.h"
 #include "lsm/comparator.h"
 #include "lsm/dbformat.h"
 #include "lsm/filter_policy.h"
+#include "lsm/format.h"
 #include "lsm/read_stats.h"
 #include "lsm/table_builder.h"
 #include "vfs/mem_vfs.h"
@@ -219,24 +225,93 @@ TEST_F(TableTest, OpenRejectsTooShortFile) {
           .IsCorruption());
 }
 
-TEST_F(TableTest, ApproximateOffsetsAreMonotone) {
-  std::map<std::string, std::string> entries;
-  for (int i = 0; i < 500; ++i) {
-    entries["key" + std::to_string(10000 + i)] = std::string(200, 'o');
-  }
-  Options options;
-  options.block_size = 1024;
-  BuildAndOpen(entries, options);
+// An index entry whose data block would not end before the metaindex is
+// Corruption: scanned with a readahead window that covers its offset, a
+// size that wraps the block's end must not pass for a block inside it.
+TEST_F(TableTest, DataBlockHandleOutOfRangeIsCorruption) {
+  BuildAndOpen({{"a", "1"}, {"b", "2"}});
+  std::string file;
+  ASSERT_TRUE(vfs::ReadFileToString(fs_, "/t.sst", &file).ok());
+  Slice footer_input(file.data() + file.size() - Footer::kEncodedLength,
+                     Footer::kEncodedLength);
+  Footer footer;
+  ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+  std::string index_contents;
+  ASSERT_TRUE(
+      ReadBlockContents(raf_.get(), {}, true, footer.index_handle(), &index_contents).ok());
+  Block original_index(std::move(index_contents));
+  std::unique_ptr<Iterator> first(original_index.NewIterator(&icmp_));
+  first->SeekToFirst();
+  ASSERT_TRUE(first->Valid());
 
-  uint64_t prev = 0;
-  for (int i = 0; i < 500; i += 50) {
-    const uint64_t off =
-        table_->ApproximateOffsetOf(IKey("key" + std::to_string(10000 + i)));
-    EXPECT_GE(off, prev);
-    prev = off;
+  BlockHandle past_metaindex;
+  past_metaindex.set_offset(footer.metaindex_handle().offset());
+  past_metaindex.set_size(8);
+  BlockHandle wraps;  // offset + size + trailer wraps to 5
+  wraps.set_offset(16);
+  wraps.set_size(~uint64_t{0} - 15);
+  for (const BlockHandle& bad : {past_metaindex, wraps}) {
+    // The table's one data block, then `bad`: a checksummed index appended
+    // to the file, and a footer that names it.
+    Options options;
+    BlockBuilder index(&options);
+    index.Add(first->key(), first->value());
+    std::string bad_encoding;
+    bad.EncodeTo(&bad_encoding);
+    index.Add(IKey("z"), bad_encoding);
+    std::string& block = index.Finish();
+    std::string crafted = file;
+    BlockHandle index_handle;
+    index_handle.set_offset(crafted.size());
+    index_handle.set_size(block.size());
+    block.push_back(static_cast<char>(CompressionType::kNone));
+    PutFixed32(&block, crc32c::Mask(crc32c::Value(block.data(), block.size())));
+    crafted += block;
+    Footer crafted_footer;
+    crafted_footer.set_metaindex_handle(footer.metaindex_handle());
+    crafted_footer.set_index_handle(index_handle);
+    crafted_footer.EncodeTo(&crafted);
+    ASSERT_TRUE(vfs::WriteStringToFile(fs_, "/bad.sst", crafted).ok());
+
+    std::unique_ptr<vfs::RandomAccessFile> raf;
+    ASSERT_TRUE(fs_.NewRandomAccessFile("/bad.sst", {}, &raf).ok());
+    std::unique_ptr<Table> table;
+    ASSERT_TRUE(
+        Table::Open({}, &icmp_, nullptr, nullptr, 2, raf.get(), crafted.size(), &table).ok());
+    ReadOptions scan;
+    scan.readahead_bytes = 64 << 10;
+    std::unique_ptr<Iterator> iter(table->NewIterator(scan));
+    int count = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++count;
+    EXPECT_EQ(count, 2);
+    EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+
+    const std::string seek = IKey("y", kMaxSequenceNumber, kValueTypeForSeek);
+    const Slice ikeys[] = {seek};
+    EXPECT_TRUE(table->MultiGet({}, ikeys, [](size_t, const Slice&, const Slice&) {})
+                    .IsCorruption());
   }
-  EXPECT_GT(prev, 0u);
 }
+
+// Records every read that reaches the file it wraps.
+class CountingFile final : public vfs::RandomAccessFile {
+ public:
+  explicit CountingFile(std::unique_ptr<vfs::RandomAccessFile> base)
+      : base_(std::move(base)) {}
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              std::string* scratch) const override {
+    reads.emplace_back(offset, n);
+    return base_->Read(offset, n, result, scratch);
+  }
+  uint64_t Size() const override { return base_->Size(); }
+
+  /// (offset, length) of each read, in order.
+  mutable std::vector<std::pair<uint64_t, size_t>> reads;
+
+ private:
+  std::unique_ptr<vfs::RandomAccessFile> base_;
+};
 
 // Read/iterate matrix over {use_mmap} against the real file system: mmap is
 // a PosixVfs feature, and pread and mmap must serve identical results.
@@ -265,7 +340,8 @@ class TableMatrixTest : public ::testing::TestWithParam<bool> {
     return encoded;
   }
 
-  void BuildAndOpen(const std::map<std::string, std::string>& user_entries) {
+  void BuildAndOpen(const std::map<std::string, std::string>& user_entries,
+                    bool cached = true) {
     const bool use_mmap = GetParam();
     vfs::Vfs& fs = vfs::PosixVfs();
     const std::string path = (dir_ / "t.sst").string();
@@ -284,11 +360,25 @@ class TableMatrixTest : public ::testing::TestWithParam<bool> {
     ASSERT_TRUE(fs.GetFileSize(path, &size).ok());
     vfs::OpenOptions open_opts;
     open_opts.use_mmap = use_mmap;
-    ASSERT_TRUE(fs.NewRandomAccessFile(path, open_opts, &raf_).ok());
-    cache_ = NewLRUCache(1 << 20);
+    std::unique_ptr<vfs::RandomAccessFile> raf;
+    ASSERT_TRUE(fs.NewRandomAccessFile(path, open_opts, &raf).ok());
+    file_ = new CountingFile(std::move(raf));
+    raf_.reset(file_);
+    if (cached) cache_ = NewLRUCache(1 << 20);
     ASSERT_TRUE(Table::Open(options, &icmp_, policy_.get(), cache_.get(), 1,
                             raf_.get(), size, &table_, &counters_)
                     .ok());
+
+    // Data blocks and the filter precede the metaindex.
+    std::string scratch;
+    Slice footer_input;
+    ASSERT_TRUE(raf_->Read(size - Footer::kEncodedLength, Footer::kEncodedLength,
+                           &footer_input, &scratch)
+                    .ok());
+    Footer footer;
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    metaindex_offset_ = footer.metaindex_handle().offset();
+    file_->reads.clear();
   }
 
   bool Get(const std::string& user_key, std::string* value) {
@@ -299,6 +389,8 @@ class TableMatrixTest : public ::testing::TestWithParam<bool> {
   InternalKeyComparator icmp_;
   std::unique_ptr<const FilterPolicy> policy_;
   std::unique_ptr<vfs::RandomAccessFile> raf_;
+  CountingFile* file_ = nullptr;  // raf_
+  uint64_t metaindex_offset_ = 0;
   std::unique_ptr<Cache> cache_;
   std::unique_ptr<Table> table_;
   ReadCounters counters_;
@@ -399,6 +491,61 @@ TEST_P(TableMatrixTest, MultiGetColdCacheCoalesces) {
   EXPECT_EQ(found, ikeys.size());
   // A dense batch over adjacent 512-byte blocks must coalesce reads.
   EXPECT_GT(counters_.coalesced_reads.load(), 0u);
+}
+
+// A forward scan with a 64 KiB readahead window over an uncached table
+// reads one window per ~64 KiB of data blocks instead of one read per
+// block, and a reverse scan reads each block alone. The 512-byte blocks
+// straddle window edges, and one block is larger than the window.
+TEST_P(TableMatrixTest, ReadaheadScansReadWindows) {
+  std::map<std::string, std::string> entries;
+  for (int i = 0; i < 4000; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06d", i);
+    entries[key] = std::string(i == 2000 ? 100 << 10 : 200, static_cast<char>('a' + i % 26));
+  }
+  BuildAndOpen(entries, /*cached=*/false);
+  constexpr uint64_t kWindow = 64 << 10;
+  ReadOptions scan;
+  scan.readahead_bytes = kWindow;
+
+  {
+    std::unique_ptr<Iterator> iter(table_->NewIterator(scan));
+    auto expected = entries.begin();
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++expected) {
+      ASSERT_NE(expected, entries.end());
+      ASSERT_EQ(ExtractUserKey(iter->key()).ToString(), expected->first);
+      ASSERT_EQ(iter->value().ToString(), expected->second);
+    }
+    EXPECT_EQ(expected, entries.end());
+    EXPECT_TRUE(iter->status().ok());
+  }
+  const auto& reads = file_->reads;
+  EXPECT_LE(reads.size(), (metaindex_offset_ + kWindow - 1) / kWindow + 2);
+  bool straddled = false;  // a block across a window edge starts the next window
+  bool large = false;      // the large block is read whole
+  for (size_t i = 0; i < reads.size(); ++i) {
+    straddled = straddled || (i > 0 && reads[i].first < reads[i - 1].first + reads[i - 1].second);
+    large = large || reads[i].second > kWindow;
+  }
+  EXPECT_TRUE(straddled);
+  EXPECT_TRUE(large);
+
+  file_->reads.clear();
+  {
+    std::unique_ptr<Iterator> iter(table_->NewIterator(scan));
+    auto expected = entries.rbegin();
+    for (iter->SeekToLast(); iter->Valid(); iter->Prev(), ++expected) {
+      ASSERT_NE(expected, entries.rend());
+      ASSERT_EQ(ExtractUserKey(iter->key()).ToString(), expected->first);
+      ASSERT_EQ(iter->value().ToString(), expected->second);
+    }
+    EXPECT_EQ(expected, entries.rend());
+    EXPECT_TRUE(iter->status().ok());
+  }
+  uint64_t reverse_bytes = 0;
+  for (const auto& [offset, n] : reads) reverse_bytes += n;
+  EXPECT_LE(reverse_bytes, metaindex_offset_ + kWindow);
 }
 
 INSTANTIATE_TEST_SUITE_P(Mmap, TableMatrixTest, ::testing::Bool(),

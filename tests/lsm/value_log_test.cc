@@ -1,16 +1,21 @@
 // WAL-time key/value separation: threshold routing, segment rotation,
-// checksum verification, recovery of pointer entries, and live-pointer GC
-// (including snapshot/iterator pinning of drained segments).
+// checksum and stored-key verification, run reads of pointer batches,
+// recovery of pointer entries, and live-pointer GC (including
+// snapshot/iterator pinning of drained segments).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/units.h"
 #include "lsm/db.h"
 #include "lsm/value_log.h"
+#include "lsm/write_batch.h"
 #include "vfs/mem_vfs.h"
 #include "vfs/trace_vfs.h"
 
@@ -30,6 +35,28 @@ std::vector<std::string> BlobFiles(vfs::Vfs& fs, const std::string& dbname) {
 }
 
 std::string Value(char fill, size_t n) { return std::string(n, fill); }
+
+// Bytes of the blob record holding `key` and a value of `value_bytes`.
+uint64_t RecordSize(const std::string& key, size_t value_bytes) {
+  std::string header;
+  PutVarint32(&header, static_cast<uint32_t>(key.size()));
+  PutVarint32(&header, static_cast<uint32_t>(value_bytes));
+  return 4 + header.size() + key.size() + value_bytes;
+}
+
+// Segment number of a blob file path ("/db/000007.blob" -> 7).
+uint64_t SegmentNumber(const std::string& path) {
+  return std::stoull(path.substr(path.rfind('/') + 1));
+}
+
+// Writes `ptr` as the value pointer of `key`, bypassing separation.
+Status PutPointer(DB& db, const Slice& key, const ValuePointer& ptr) {
+  std::string encoded;
+  EncodeValuePointer(&encoded, ptr);
+  WriteBatch batch;
+  batch.PutPointer(key, encoded);
+  return db.Write({}, &batch);
+}
 
 class ValueLogDbTest : public ::testing::Test {
  protected:
@@ -112,7 +139,7 @@ TEST_F(ValueLogDbTest, LargeValuesRouteToBlobSegments) {
   EXPECT_EQ(seen, 3);
   EXPECT_TRUE(it->status().ok());
 
-  // MultiGet resolves a mixed batch (sorted-pointer readahead path).
+  // MultiGet resolves a mixed batch (the sorted-pointer run read).
   std::vector<Slice> keys = {"big", "missing", "small", "bigger"};
   std::vector<std::string> values;
   std::vector<Status> statuses;
@@ -164,6 +191,42 @@ TEST_F(ValueLogDbTest, CorruptBlobRecordSurfacesChecksumError) {
   EXPECT_TRUE(it->status().IsCorruption());
 }
 
+// A pointer stored under one key that addresses another key's intact
+// record must not resolve to that key's value on any read path.
+TEST_F(ValueLogDbTest, PointerToAnotherKeysRecordIsCorruption) {
+  Open(BaseOptions());
+  ASSERT_TRUE(db_->Put({}, "b", Value('b', KiB)).ok());
+  const auto blobs = BlobFiles(fs_, "/db");
+  ASSERT_EQ(blobs.size(), 1U);
+  ASSERT_TRUE(
+      PutPointer(*db_, "a", ValuePointer{SegmentNumber(blobs[0]), 0, RecordSize("b", KiB)})
+          .ok());
+
+  std::string value;
+  EXPECT_TRUE(db_->Get({}, "a", &value).IsCorruption());
+  EXPECT_EQ(Get("b"), Value('b', KiB));
+
+  const std::vector<Slice> keys = {"a", "b"};
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(db_->MultiGet({}, keys, &values, &statuses).ok());
+  EXPECT_TRUE(statuses[0].IsCorruption());
+  EXPECT_EQ(values[1], Value('b', KiB));
+
+  {
+    std::unique_ptr<Iterator> it(db_->NewIterator({}));
+    it->SeekToFirst();
+    ASSERT_TRUE(it->Valid());
+    EXPECT_EQ(it->key(), Slice("a"));
+    EXPECT_TRUE(it->value().empty());
+    EXPECT_TRUE(it->status().IsCorruption());
+  }
+
+  ASSERT_TRUE(db_->FlushMemTable(true).ok());
+  EXPECT_TRUE(db_->Get({}, "a", &value).IsCorruption());
+  EXPECT_EQ(Get("b"), Value('b', KiB));
+}
+
 TEST_F(ValueLogDbTest, WalReplayRecoversPointerEntries) {
   Open(BaseOptions());
   WriteOptions sync_write;
@@ -204,41 +267,121 @@ TEST_F(ValueLogDbTest, ThresholdZeroStoreWritesNoBlobFiles) {
   EXPECT_EQ(Get("k"), Value('x', 64 * KiB));
 }
 
-// Only a run of two or more pointers into one segment is hinted to the VFS
-// before it is read: a lone pointer reads exactly its record, so a hint
-// would only add a prefetch read and a copy.
-TEST(ValueLogHintTest, OnlyRunsOfTwoOrMorePointersAreHinted) {
-  vfs::MemVfs base;
-  vfs::TraceContext ctx(1);
-  vfs::TraceVfs fs(base, ctx, 0);
-  Options options;
-  options.vfs = &fs;
-  options.value_log_threshold = 64;
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
-  ASSERT_TRUE(db->Put({}, "big1", Value('x', KiB)).ok());
-  ASSERT_TRUE(db->Put({}, "big2", Value('y', KiB)).ok());
-  ASSERT_TRUE(db->Put({}, "small", "inline").ok());
-  const uint64_t hints = ctx.HintOps();
+// Pointer resolution reads runs of adjacent records, counted as the blob
+// reads a TraceVfs records.
+class ValueLogRunReadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Options options;
+    options.vfs = &fs_;
+    options.value_log_threshold = 64;
+    ASSERT_TRUE(DB::Open(options, "/db", &db_).ok());
+  }
 
+  // (offset, length) of each blob-segment read since the last call.
+  std::vector<std::pair<uint64_t, uint64_t>> BlobReads() {
+    std::vector<std::pair<uint64_t, uint64_t>> reads;
+    const std::vector<vfs::IoOp>& ops = ctx_.TraceForRank(0).ops;
+    for (; seen_ops_ < ops.size(); ++seen_ops_) {
+      const vfs::IoOp& op = ops[seen_ops_];
+      if (op.kind != vfs::IoOpKind::kRead) continue;
+      const std::string& path = ctx_.PathOf(op.file);
+      if (path.size() > 5 && path.compare(path.size() - 5, 5, ".blob") == 0) {
+        reads.emplace_back(op.offset, op.size);
+      }
+    }
+    return reads;
+  }
+
+  // MultiGet of `keys`; every status must be OK.
+  std::vector<std::string> MultiGetAll(const std::vector<Slice>& keys) {
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    EXPECT_TRUE(db_->MultiGet({}, keys, &values, &statuses).ok());
+    for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s.ToString();
+    return values;
+  }
+
+  vfs::MemVfs base_;
+  vfs::TraceContext ctx_{1};
+  vfs::TraceVfs fs_{base_, ctx_, 0};
+  std::unique_ptr<DB> db_;
+  size_t seen_ops_ = 0;
+};
+
+TEST_F(ValueLogRunReadTest, AdjacentPointersAreOneRead) {
+  constexpr int kKeys = 8;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    ASSERT_TRUE(db_->Put({}, keys.back(), Value('a' + i, KiB)).ok());
+  }
+  BlobReads();
+  const std::vector<Slice> batch(keys.rbegin(), keys.rend());
+  const std::vector<std::string> values = MultiGetAll(batch);
+  for (int i = 0; i < kKeys; ++i) EXPECT_EQ(values[i], Value('a' + kKeys - 1 - i, KiB));
+  const auto reads = BlobReads();
+  ASSERT_EQ(reads.size(), 1U);
+  EXPECT_EQ(reads[0], std::make_pair(uint64_t{0}, kKeys * RecordSize("k0", KiB)));
+}
+
+TEST_F(ValueLogRunReadTest, LonePointerReadsExactlyItsRecord) {
+  ASSERT_TRUE(db_->Put({}, "k0", Value('x', KiB)).ok());
+  ASSERT_TRUE(db_->Put({}, "k1", Value('y', KiB)).ok());
+  BlobReads();
   std::string value;
-  ASSERT_TRUE(db->Get({}, "big1", &value).ok());
-  EXPECT_EQ(value, Value('x', KiB));
-  EXPECT_EQ(ctx.HintOps(), hints);
+  ASSERT_TRUE(db_->Get({}, "k1", &value).ok());
+  EXPECT_EQ(value, Value('y', KiB));
+  const auto reads = BlobReads();
+  ASSERT_EQ(reads.size(), 1U);
+  EXPECT_EQ(reads[0], std::make_pair(RecordSize("k0", KiB), RecordSize("k1", KiB)));
+}
 
+// Two records ~8 MiB apart in one segment are two reads of one record
+// each: the gap between them is never read.
+TEST_F(ValueLogRunReadTest, DistantPointersReadOnlyTheirRecords) {
+  ASSERT_TRUE(db_->Put({}, "first", Value('f', KiB)).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(db_->Put({}, "fill" + std::to_string(i), Value('z', MiB)).ok());
+  }
+  ASSERT_TRUE(db_->Put({}, "last", Value('l', KiB)).ok());
+  ASSERT_EQ(BlobFiles(base_, "/db").size(), 1U);
+  BlobReads();
+  const std::vector<std::string> values = MultiGetAll({"last", "first"});
+  EXPECT_EQ(values[0], Value('l', KiB));
+  EXPECT_EQ(values[1], Value('f', KiB));
+  const auto reads = BlobReads();
+  ASSERT_EQ(reads.size(), 2U);
+  EXPECT_EQ(reads[0].second, RecordSize("first", KiB));
+  EXPECT_EQ(reads[1].second, RecordSize("last", KiB));
+}
+
+// A pointer whose record passes the segment's end, or whose end wraps, is
+// Corruption for its key alone; the rest of its run resolves.
+TEST_F(ValueLogRunReadTest, OutOfRangePointerFailsOnlyItsKey) {
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_TRUE(db_->Put({}, key, Value(key[0], KiB)).ok());
+  }
+  const auto blobs = BlobFiles(base_, "/db");
+  ASSERT_EQ(blobs.size(), 1U);
+  const uint64_t segment = SegmentNumber(blobs[0]);
+  const uint64_t record = RecordSize("a", KiB);
+  ASSERT_TRUE(PutPointer(*db_, "past_end", ValuePointer{segment, 3 * record, record}).ok());
+  ASSERT_TRUE(
+      PutPointer(*db_, "wraps", ValuePointer{segment, UINT64_MAX - 10, record}).ok());
+  BlobReads();
+
+  const std::vector<Slice> keys = {"wraps", "c", "past_end", "a", "b"};
   std::vector<std::string> values;
   std::vector<Status> statuses;
-  const std::vector<Slice> one_pointer = {"big1", "small"};
-  ASSERT_TRUE(db->MultiGet({}, one_pointer, &values, &statuses).ok());
-  EXPECT_EQ(values[0], Value('x', KiB));
-  EXPECT_EQ(values[1], "inline");
-  EXPECT_EQ(ctx.HintOps(), hints);
-
-  const std::vector<Slice> two_pointers = {"big2", "big1"};
-  ASSERT_TRUE(db->MultiGet({}, two_pointers, &values, &statuses).ok());
-  EXPECT_EQ(values[0], Value('y', KiB));
-  EXPECT_EQ(values[1], Value('x', KiB));
-  EXPECT_EQ(ctx.HintOps(), hints + 1);
+  ASSERT_TRUE(db_->MultiGet({}, keys, &values, &statuses).ok());
+  EXPECT_TRUE(statuses[0].IsCorruption()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[2].IsCorruption()) << statuses[2].ToString();
+  EXPECT_EQ(values[1], Value('c', KiB));
+  EXPECT_EQ(values[3], Value('a', KiB));
+  EXPECT_EQ(values[4], Value('b', KiB));
+  // a, b, c and past_end are one run; the wrapping pointer is never read.
+  EXPECT_EQ(BlobReads().size(), 1U);
 }
 
 // GC scaffolding: leveled compaction on, small segments so overwritten
