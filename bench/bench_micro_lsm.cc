@@ -148,6 +148,29 @@ void BM_DbPut(benchmark::State& state) {
 }
 BENCHMARK(BM_DbPut)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
+// One DB::Write of 64 puts of 100 B on MemVfs with the WAL on: the
+// many-op batch path, which the checkpoint workloads' one-put batches
+// barely reach.
+void BM_DbWriteBatch(benchmark::State& state) {
+  const int64_t ops = state.range(0);
+  vfs::MemVfs fs;
+  Options options;
+  options.vfs = &fs;
+  options.disable_compaction = true;
+  std::unique_ptr<DB> db;
+  DB::Open(options, "/bm", &db).IgnoreError();  // bench scratch store
+  const std::string value(100, 'v');
+  uint64_t key = 0;
+  WriteBatch batch;
+  for (auto _ : state) {
+    batch.Clear();
+    for (int64_t i = 0; i < ops; ++i) batch.Put("key" + std::to_string(key++), value);
+    db->Write({}, &batch).IgnoreError();
+  }
+  state.SetItemsProcessed(state.iterations() * ops);
+}
+BENCHMARK(BM_DbWriteBatch)->Arg(64);
+
 // Random point lookups in one flushed table of 2000 4 KiB values.
 void DbGet(benchmark::State& state, bool disable_cache) {
   vfs::MemVfs fs;

@@ -106,33 +106,18 @@ class LsmStore final : public Store {
     {
       MutexLock lock(&mu_);
       if (batching_) {
-        struct LastOp final : lsm::WriteBatch::Handler {
-          explicit LastOp(const Slice& k) : target(k) {}
-          void Put(const Slice& k, const Slice& v) override {
-            if (k == target) {
-              found = true;
-              deleted = false;
-              value.assign(v.data(), v.size());
-            }
+        bool found = false;
+        std::string existing;  // stays empty when deleted in the batch
+        lsm::WriteBatch::Op op;
+        lsm::WriteBatch::Reader reader(batch_);
+        while (reader.Next(&op)) {
+          if (op.key == key) {
+            found = true;
+            existing.assign(op.value.data(), op.value.size());
           }
-          void Delete(const Slice& k) override {
-            if (k == target) {
-              found = true;
-              deleted = true;
-              value.clear();
-            }
-          }
-          Slice target;
-          bool found = false;
-          bool deleted = false;
-          std::string value;
-        } last(key);
-        LSMIO_RETURN_IF_ERROR(batch_.Iterate(&last));
-
-        std::string existing;
-        if (last.found) {
-          existing = std::move(last.value);  // empty when deleted in batch
-        } else {
+        }
+        LSMIO_RETURN_IF_ERROR(reader.status());
+        if (!found) {
           Status s = db_->Get({}, key, &existing);
           if (!s.ok() && !s.IsNotFound()) return s;
         }

@@ -26,8 +26,7 @@ constexpr int kBloomBitsPerKey = 10;
 // Capacity of the block cache a DB owns when Options::block_cache is null.
 constexpr uint64_t kBlockCacheCapacity = 8 * MiB;
 // Readahead window for compaction input reads: each input table iterator
-// hints this many bytes ahead to the VFS (posix_fadvise plus the prefetch
-// buffer on PosixVfs).
+// reads its blocks in runs of this many bytes, one VFS read per run.
 constexpr uint64_t kCompactionReadaheadBytes = 1 * MiB;
 
 }  // namespace
@@ -208,102 +207,6 @@ Status DBImpl::Initialize() {
   return Status::OK();
 }
 
-namespace {
-
-// Replay-time batch inserter that validates pointer ops against the value
-// log. A crash can persist a WAL record whose blob bytes were never
-// synced (only unacknowledged or non-sync writes can be in that state);
-// such dangling pointers are skipped so the key resolves to its previous
-// version instead of a Corruption at read time. Skipping still advances
-// the sequence counter, so later ops keep their original numbering.
-class ValidatingMemTableInserter final : public WriteBatch::Handler {
- public:
-  ValidatingMemTableInserter(SequenceNumber seq, MemTable* mem,
-                             const ValueLog* vlog)
-      : sequence_(seq), mem_(mem), vlog_(vlog) {}
-
-  void Put(const Slice& key, const Slice& value) override {
-    mem_->Add(sequence_++, ValueType::kValue, key, value);
-  }
-  void PutPointer(const Slice& key, const Slice& pointer) override {
-    ValuePointer ptr;
-    if (DecodeValuePointer(pointer, &ptr) &&
-        vlog_->ReadValue(ptr, key, /*value=*/nullptr).ok()) {
-      mem_->Add(sequence_, ValueType::kValuePointer, key, pointer);
-    } else {
-      ++dropped_;
-    }
-    ++sequence_;
-  }
-  void Delete(const Slice& key) override {
-    mem_->Add(sequence_++, ValueType::kDeletion, key, Slice());
-  }
-
-  [[nodiscard]] uint64_t dropped() const { return dropped_; }
-
- private:
-  SequenceNumber sequence_;
-  MemTable* const mem_;
-  const ValueLog* const vlog_;
-  uint64_t dropped_ = 0;
-};
-
-// First pass of WAL-time separation: does the batch hold any value large
-// enough to separate?
-class LargeValueScanner final : public WriteBatch::Handler {
- public:
-  explicit LargeValueScanner(uint64_t threshold) : threshold_(threshold) {}
-  void Put(const Slice&, const Slice& value) override {
-    any_ = any_ || value.size() >= threshold_;
-  }
-  void Delete(const Slice&) override {}
-  [[nodiscard]] bool any() const { return any_; }
-
- private:
-  const uint64_t threshold_;
-  bool any_ = false;
-};
-
-// Second pass: rebuild the batch with large values appended to the value
-// log and their ops rewritten as pointers. Op count and order are
-// preserved, so the group's sequence numbering is unchanged.
-class ValueSeparator final : public WriteBatch::Handler {
- public:
-  ValueSeparator(ValueLog* vlog, uint64_t threshold, WriteBatch* out)
-      : vlog_(vlog), threshold_(threshold), out_(out) {}
-
-  void Put(const Slice& key, const Slice& value) override {
-    if (!status_.ok()) return;
-    if (value.size() < threshold_) {
-      out_->Put(key, value);
-      return;
-    }
-    ValuePointer ptr;
-    status_ = vlog_->Append(key, value, /*gc_rewrite=*/false, &ptr);
-    if (!status_.ok()) return;
-    encoded_.clear();
-    EncodeValuePointer(&encoded_, ptr);
-    out_->PutPointer(key, Slice(encoded_));
-  }
-  void PutPointer(const Slice& key, const Slice& pointer) override {
-    if (status_.ok()) out_->PutPointer(key, pointer);
-  }
-  void Delete(const Slice& key) override {
-    if (status_.ok()) out_->Delete(key);
-  }
-
-  [[nodiscard]] Status status() const { return status_; }
-
- private:
-  ValueLog* const vlog_;
-  const uint64_t threshold_;
-  WriteBatch* const out_;
-  std::string encoded_;
-  Status status_;
-};
-
-}  // namespace
-
 Status DBImpl::RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence) {
   const std::string fname = LogFileName(dbname_, log_number);
   std::unique_ptr<vfs::SequentialFile> file;
@@ -329,21 +232,19 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence)
   for (bool more = true; more;) {
     more = reader.ReadRecord(&record, &scratch);
     if (more) {
-      WriteBatch batch;
-      LSMIO_RETURN_IF_ERROR(WriteBatch::SetContents(&batch, record));
       if (mem == nullptr) {
         mem = new MemTable(internal_comparator_);
         mem->Ref();
       }
-      if (vlog_ != nullptr) {
-        ValidatingMemTableInserter inserter(batch.Sequence(), mem, vlog_.get());
-        LSMIO_RETURN_IF_ERROR(batch.Iterate(&inserter));
-        if (inserter.dropped() > 0) {
-          LSMIO_WARN << "dropped " << inserter.dropped()
-                     << " dangling value-log pointer(s) during WAL replay";
-        }
-      } else {
-        LSMIO_RETURN_IF_ERROR(batch.InsertInto(mem));
+      WriteBatch batch;
+      s = WriteBatch::SetContents(&batch, record);
+      // Pointer ops are checked against the value log: a crash can persist
+      // a WAL record whose blob bytes were never synced (only unacked
+      // writes), and the key then resolves to its previous version.
+      if (s.ok()) s = batch.InsertInto(mem, vlog_.get());
+      if (!s.ok()) {
+        mem->Unref();
+        return s;
       }
       const SequenceNumber last =
           batch.Sequence() + static_cast<SequenceNumber>(batch.Count()) - 1;
@@ -430,11 +331,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     last_sequence += static_cast<SequenceNumber>(write_batch->Count());
 
     uint64_t wal_bytes = 0;
-    struct Counter final : WriteBatch::Handler {
-      uint64_t puts = 0, dels = 0;
-      void Put(const Slice&, const Slice&) override { ++puts; }
-      void Delete(const Slice&) override { ++dels; }
-    } counter;
+    WriteBatch::Applied applied;
     WriteBatch* log_batch = write_batch;
     {
       // One WAL append + (at most) one fsync for the whole group; followers
@@ -444,9 +341,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       // WAL-time separation first: blob bytes are appended before the WAL
       // record that points at them, and synced before it (below), so any
       // WAL-durable pointer has durable blob bytes behind it.
-      if (vlog_ != nullptr && status.ok()) {
-        log_batch = SeparateLargeValues(write_batch, &status);
-      }
+      if (vlog_ != nullptr) status = vlog_->Separate(write_batch, &tmp_vlog_batch_, &log_batch);
       if (status.ok() && !options_.disable_wal) {
         status = log_->AddRecord(log_batch->Contents());
         wal_bytes = log_batch->Contents().size();
@@ -455,9 +350,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
           if (status.ok()) status = logfile_->Sync();
         }
       }
-      if (status.ok()) status = log_batch->InsertInto(mem_);
-      // Counting handler over an already-applied batch: cannot fail.
-      log_batch->Iterate(&counter).IgnoreError();
+      if (status.ok()) status = log_batch->InsertInto(mem_, nullptr, &applied);
       lock.Lock();
     }
     if (status.ok()) {
@@ -465,8 +358,8 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       stats_.wal_bytes += wal_bytes;
       stats_.bytes_written += write_batch->Contents().size();
       if (log_batch != write_batch) ++stats_.value_log_separated_batches;
-      stats_.puts += counter.puts;
-      stats_.deletes += counter.dels;
+      stats_.puts += applied.puts;
+      stats_.deletes += applied.deletes;
       ++stats_.group_commit_batches;
     } else {
       // The WAL may hold a torn record (or an append that was never
@@ -558,24 +451,6 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
     *last_writer = w;
   }
   return result;
-}
-
-WriteBatch* DBImpl::SeparateLargeValues(WriteBatch* batch, Status* s) {
-  const uint64_t threshold = options_.value_log_threshold;
-  if (threshold == 0) return batch;  // store has old segments, separation off
-  LargeValueScanner scanner(threshold);
-  if (!batch->Iterate(&scanner).ok() || !scanner.any()) return batch;
-
-  tmp_vlog_batch_.Clear();
-  tmp_vlog_batch_.SetSequence(batch->Sequence());
-  ValueSeparator separator(vlog_.get(), threshold, &tmp_vlog_batch_);
-  Status iterate = batch->Iterate(&separator);
-  if (!separator.status().ok()) {
-    *s = separator.status();
-  } else if (!iterate.ok()) {
-    *s = iterate;
-  }
-  return &tmp_vlog_batch_;
 }
 
 void DBImpl::RefreshWritePressure() {

@@ -111,14 +111,6 @@ class DBImpl final : public DB {
   Status RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence)
       REQUIRES(mu_);
   WriteBatch* BuildBatchGroup(Writer** last_writer) REQUIRES(mu_);
-  /// WAL-time key/value separation (leader-side, mu_ released or held —
-  /// touches only leader-owned scratch and the internally-locked value
-  /// log). Values of at least Options::value_log_threshold bytes are
-  /// appended to the value log and their ops rewritten as kValuePointer.
-  /// Returns `batch` untouched when nothing separates, else the rebuilt
-  /// tmp_vlog_batch_ carrying the same sequence and op count/order (the
-  /// per-writer sequence stamping stays valid).
-  WriteBatch* SeparateLargeValues(WriteBatch* batch, Status* s);
   /// Admission control for the write path, called by the group-commit
   /// leader with `batch_bytes` = the caller's batch payload. Switches/
   /// queues memtables, hard-stalls on a full immutable queue or an L0 at

@@ -106,12 +106,6 @@ class MemTableIterator final : public Iterator {
   Status status() const override { return Status::OK(); }
 
  private:
-  static Slice GetLengthPrefixed(const char* data) {
-    uint32_t len = 0;
-    const char* p = GetVarint32Ptr(data, data + kMaxVarint32Bytes, &len);
-    return Slice(p, len);
-  }
-
   MemTable::Table::Iterator iter_;
   std::string scratch_;
 };

@@ -160,45 +160,28 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* updates) {
   // batches — the common case for checkpoint streams, and all Put/Delete
   // calls — forward the caller's batch untouched, preserving the exact
   // single-LSM code path including its sequence stamping.
-  struct Router final : WriteBatch::Handler {
-    const ShardedDB* db = nullptr;
-    std::vector<uint8_t> touched;
-    size_t distinct = 0;
-    size_t only = 0;
-    void Note(const Slice& key) {
-      const size_t shard = db->ShardOf(key);
-      if (touched[shard] == 0) {
-        touched[shard] = 1;
-        ++distinct;
-        only = shard;
-      }
+  std::vector<uint8_t> touched(shards_.size(), 0);
+  size_t distinct = 0;
+  size_t only = 0;
+  WriteBatch::Op op;
+  WriteBatch::Reader reader(*updates);
+  while (reader.Next(&op)) {
+    const size_t shard = ShardOf(op.key);
+    if (touched[shard] == 0) {
+      touched[shard] = 1;
+      ++distinct;
+      only = shard;
     }
-    void Put(const Slice& key, const Slice&) override { Note(key); }
-    void Delete(const Slice& key) override { Note(key); }
-  } router;
-  router.db = this;
-  router.touched.assign(shards_.size(), 0);
-  LSMIO_RETURN_IF_ERROR(updates->Iterate(&router));
-  if (router.distinct == 0) return Status::OK();
-  if (router.distinct == 1) return shards_[router.only]->Write(options, updates);
+  }
+  LSMIO_RETURN_IF_ERROR(reader.status());
+  if (distinct == 0) return Status::OK();
+  if (distinct == 1) return shards_[only]->Write(options, updates);
 
   // Pass 2: split into per-shard sub-batches and apply each to its shard.
   // Atomicity holds within each shard (one WAL record per sub-batch), not
   // across shards — see the class comment.
-  struct Splitter final : WriteBatch::Handler {
-    const ShardedDB* db = nullptr;
-    std::vector<WriteBatch>* sub = nullptr;
-    void Put(const Slice& key, const Slice& value) override {
-      (*sub)[db->ShardOf(key)].Put(key, value);
-    }
-    void Delete(const Slice& key) override {
-      (*sub)[db->ShardOf(key)].Delete(key);
-    }
-  } splitter;
   std::vector<WriteBatch> sub(shards_.size());
-  splitter.db = this;
-  splitter.sub = &sub;
-  LSMIO_RETURN_IF_ERROR(updates->Iterate(&splitter));
+  for (WriteBatch::Reader split(*updates); split.Next(&op);) sub[ShardOf(op.key)].Add(op);
 
   Status first_error;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {

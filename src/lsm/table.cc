@@ -219,10 +219,9 @@ Status Table::Open(const Options& options, const Comparator* comparator,
     rep->owned_index = std::move(index);
   }
 
-  auto* t = new Table(std::move(rep));
-  // Best-effort: reads work without a filter, just with more block probes.
-  t->ReadFilter(footer).IgnoreError();
-  table->reset(t);
+  std::unique_ptr<Table> t(new Table(std::move(rep)));
+  LSMIO_RETURN_IF_ERROR(t->ReadFilter(footer));
+  *table = std::move(t);
   return Status::OK();
 }
 
@@ -230,8 +229,10 @@ Status Table::ReadFilter(const Footer& footer) {
   Rep* r = rep_.get();
   if (r->filter_policy == nullptr) return Status::OK();
 
+  // Both blocks are always checksum-verified, like the index: a corrupt
+  // filter would silently turn present keys into misses.
   std::string meta_contents;
-  LSMIO_RETURN_IF_ERROR(ReadBlockContents(r->file, {}, false,
+  LSMIO_RETURN_IF_ERROR(ReadBlockContents(r->file, {}, /*always_verify=*/true,
                                           footer.metaindex_handle(),
                                           &meta_contents));
   Block meta(std::move(meta_contents));
@@ -244,8 +245,8 @@ Status Table::ReadFilter(const Footer& footer) {
   BlockHandle filter_handle;
   LSMIO_RETURN_IF_ERROR(filter_handle.DecodeFrom(&v));
   auto filter_data = std::make_unique<std::string>();
-  LSMIO_RETURN_IF_ERROR(
-      ReadBlockContents(r->file, {}, false, filter_handle, filter_data.get()));
+  LSMIO_RETURN_IF_ERROR(ReadBlockContents(r->file, {}, /*always_verify=*/true,
+                                          filter_handle, filter_data.get()));
 
   const Slice contents(*filter_data);
   if (r->use_cache()) {

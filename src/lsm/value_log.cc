@@ -5,6 +5,7 @@
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "lsm/dbformat.h"
+#include "lsm/write_batch.h"
 #include "vfs/vfs.h"
 
 namespace lsmio::lsm {
@@ -52,6 +53,17 @@ Status ParseRecord(const Slice& rec, const Slice& user_key, Slice* value) {
   return Status::OK();
 }
 
+void DeleteSegmentFile(const Slice&, void* value) {
+  delete static_cast<vfs::RandomAccessFile*>(value);
+}
+
+/// handles_ key of `segment`.
+std::string SegmentKey(uint64_t segment) {
+  std::string key;
+  PutFixed64(&key, segment);
+  return key;
+}
+
 }  // namespace
 
 void EncodeValuePointer(std::string* dst, const ValuePointer& ptr) {
@@ -67,7 +79,10 @@ bool DecodeValuePointer(Slice input, ValuePointer* ptr) {
 }
 
 ValueLog::ValueLog(const Options& options, std::string dbname, vfs::Vfs* fs)
-    : options_(options), dbname_(std::move(dbname)), fs_(fs) {}
+    : options_(options),
+      dbname_(std::move(dbname)),
+      fs_(fs),
+      handles_(NewLRUCache(kMaxOpenSegments)) {}
 
 ValueLog::~ValueLog() {
   MutexLock lock(&mu_);
@@ -191,6 +206,37 @@ Status ValueLog::Append(const Slice& user_key, const Slice& value,
   return Status::OK();
 }
 
+Status ValueLog::Separate(WriteBatch* batch, WriteBatch* scratch, WriteBatch** out) {
+  *out = batch;
+  const uint64_t threshold = options_.value_log_threshold;
+  if (threshold == 0) return Status::OK();  // a store with old segments only
+  const auto large = [threshold](const WriteBatch::Op& op) {
+    return op.type == ValueType::kValue && op.value.size() >= threshold;
+  };
+  WriteBatch::Op op;
+  bool any = false;
+  for (WriteBatch::Reader scan(*batch); !any && scan.Next(&op);) any = large(op);
+  if (!any) return Status::OK();
+
+  *out = scratch;
+  scratch->Clear();
+  scratch->SetSequence(batch->Sequence());
+  std::string encoded;
+  WriteBatch::Reader reader(*batch);
+  while (reader.Next(&op)) {
+    if (!large(op)) {
+      scratch->Add(op);
+      continue;
+    }
+    ValuePointer ptr;
+    LSMIO_RETURN_IF_ERROR(Append(op.key, op.value, /*gc_rewrite=*/false, &ptr));
+    encoded.clear();
+    EncodeValuePointer(&encoded, ptr);
+    scratch->PutPointer(op.key, encoded);
+  }
+  return reader.status();
+}
+
 Status ValueLog::Sync() {
   MutexLock lock(&mu_);
   if (!io_error_.ok()) return io_error_;
@@ -208,37 +254,16 @@ Status ValueLog::Sync() {
   return s;
 }
 
-Status ValueLog::GetSegmentHandle(
-    uint64_t segment, std::shared_ptr<vfs::RandomAccessFile>* file) const {
-  MutexLock lock(&cache_mu_);
-  auto it = handles_.find(segment);
-  if (it != handles_.end()) {
-    it->second.lru_tick = ++lru_clock_;
-    *file = it->second.file;
-    return Status::OK();
-  }
-  std::unique_ptr<vfs::RandomAccessFile> opened;
+Status ValueLog::FindSegment(uint64_t segment, Cache::Handle** handle) const {
+  const std::string key = SegmentKey(segment);
+  *handle = handles_->Lookup(key);
+  if (*handle != nullptr) return Status::OK();
+  std::unique_ptr<vfs::RandomAccessFile> file;
   vfs::OpenOptions opts;
   opts.use_mmap = options_.use_mmap;
-  Status s = fs_->NewRandomAccessFile(BlobFileName(dbname_, segment), opts, &opened);
-  if (!s.ok()) return s;
-  if (handles_.size() >= kMaxOpenSegments) {
-    auto victim = handles_.begin();
-    for (auto cand = handles_.begin(); cand != handles_.end(); ++cand) {
-      if (cand->second.lru_tick < victim->second.lru_tick) victim = cand;
-    }
-    handles_.erase(victim);
-  }
-  CacheEntry& entry = handles_[segment];
-  entry.file = std::shared_ptr<vfs::RandomAccessFile>(std::move(opened));
-  entry.lru_tick = ++lru_clock_;
-  *file = entry.file;
+  LSMIO_RETURN_IF_ERROR(fs_->NewRandomAccessFile(BlobFileName(dbname_, segment), opts, &file));
+  *handle = handles_->Insert(key, file.release(), 1, DeleteSegmentFile);
   return Status::OK();
-}
-
-void ValueLog::EvictSegmentHandle(uint64_t segment) const {
-  MutexLock lock(&cache_mu_);
-  handles_.erase(segment);
 }
 
 void ValueLog::ReadValues(std::span<Request> reqs) const {
@@ -264,12 +289,12 @@ void ValueLog::ReadValues(std::span<Request> reqs) const {
       }
       end = std::max(end, next.offset + next.length);
     }
-    std::shared_ptr<vfs::RandomAccessFile> file;
+    Cache::Handle* handle = nullptr;
     Slice run;
-    Status s = GetSegmentHandle(first.segment, &file);
+    Status s = FindSegment(first.segment, &handle);
     if (s.ok()) {
-      s = file->Read(first.offset, static_cast<size_t>(end - first.offset), &run,
-                     &buffer);
+      s = static_cast<vfs::RandomAccessFile*>(handles_->Value(handle))
+              ->Read(first.offset, static_cast<size_t>(end - first.offset), &run, &buffer);
     }
     for (; i < k; ++i) {
       const Request& req = reqs[i];
@@ -287,6 +312,8 @@ void ValueLog::ReadValues(std::span<Request> reqs) const {
       if (rs.ok() && req.value != nullptr) req.value->assign(value.data(), value.size());
       *req.status = rs;
     }
+    // Unpinned only now: the run may point into the file's mmap'd bytes.
+    if (handle != nullptr) handles_->Release(handle);
   }
 }
 
@@ -363,7 +390,7 @@ int ValueLog::SweepDeletable() {
     if (!pinned) deletable.push_back(number);
   }
   for (const uint64_t number : deletable) {
-    EvictSegmentHandle(number);
+    handles_->Erase(SegmentKey(number));
     // Best effort: once erased from segments_ below, Contains() goes false
     // and the DBImpl orphan sweep reaps any file an EIO leaves behind.
     fs_->RemoveFile(BlobFileName(dbname_, number)).IgnoreError();

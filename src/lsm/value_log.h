@@ -42,6 +42,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/synchronization.h"
+#include "lsm/cache.h"
 #include "lsm/db.h"
 #include "lsm/options.h"
 
@@ -73,10 +74,11 @@ struct BlobSegmentMeta {
   uint64_t live_bytes = 0;   // bytes still referenced by the newest LSM state
 };
 
-/// One store's (or one shard's) blob segments: appender, reader with a
-/// bounded cache of open segment handles, per-segment accounting and GC
-/// bookkeeping. Thread-safe; appends are internally serialized (the
-/// group-commit leader and compaction relocation share the appender).
+/// One store's (or one shard's) blob segments: WAL-time separation,
+/// appender, reader with a bounded cache of open segment handles,
+/// per-segment accounting and GC bookkeeping. Thread-safe; appends are
+/// internally serialized (the group-commit leader and compaction
+/// relocation share the appender).
 class ValueLog {
  public:
   ValueLog(const Options& options, std::string dbname, vfs::Vfs* fs);
@@ -96,6 +98,15 @@ class ValueLog {
   /// stats counter the value bytes are charged to.
   Status Append(const Slice& user_key, const Slice& value, bool gc_rewrite,
                 ValuePointer* out) EXCLUDES(mu_);
+
+  /// WAL-time separation of one write group. When some Put value in
+  /// `batch` reaches Options::value_log_threshold, appends each such value
+  /// and sets *out to `scratch`, refilled with `batch`'s ops in order and
+  /// each large value's op rewritten as a pointer, so the group's sequence
+  /// numbering is unchanged. Otherwise (and with the threshold 0) *out is
+  /// `batch`, untouched.
+  Status Separate(WriteBatch* batch, WriteBatch* scratch, WriteBatch** out)
+      EXCLUDES(mu_);
 
   /// Durability barrier: fsyncs the active segment iff it has unsynced
   /// bytes. Rotated segments were synced when sealed.
@@ -167,11 +178,9 @@ class ValueLog {
   Status EnsureActiveLocked() REQUIRES(mu_);
   Status RotateLocked() REQUIRES(mu_);
 
-  /// Returns a cached-or-opened handle for `segment` (LRU, bounded).
-  Status GetSegmentHandle(uint64_t segment,
-                          std::shared_ptr<vfs::RandomAccessFile>* file) const
-      EXCLUDES(cache_mu_);
-  void EvictSegmentHandle(uint64_t segment) const EXCLUDES(cache_mu_);
+  /// Returns the pinned, cached-or-opened read handle of `segment`; the
+  /// caller releases it through handles_.
+  Status FindSegment(uint64_t segment, Cache::Handle** handle) const;
 
   const Options options_;
   const std::string dbname_;
@@ -189,15 +198,10 @@ class ValueLog {
   uint64_t gc_rewritten_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t segments_deleted_ GUARDED_BY(mu_) = 0;
 
-  // Open-segment handle cache, block-cache style: bounded, LRU-evicted,
-  // shared_ptr handles so a reader keeps its file alive across eviction.
-  mutable Mutex cache_mu_;
-  struct CacheEntry {
-    std::shared_ptr<vfs::RandomAccessFile> file;
-    uint64_t lru_tick = 0;
-  };
-  mutable std::map<uint64_t, CacheEntry> handles_ GUARDED_BY(cache_mu_);
-  mutable uint64_t lru_clock_ GUARDED_BY(cache_mu_) = 0;
+  // Open segment read handles keyed by segment number, each charged 1; a
+  // reader pins its handle for one run read, so eviction never closes a
+  // file under it.
+  const std::unique_ptr<Cache> handles_;
 };
 
 }  // namespace lsmio::lsm

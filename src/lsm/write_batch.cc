@@ -1,7 +1,9 @@
 #include "lsm/write_batch.h"
 
 #include "common/coding.h"
+#include "common/logging.h"
 #include "lsm/memtable.h"
+#include "lsm/value_log.h"
 
 namespace lsmio::lsm {
 
@@ -28,23 +30,20 @@ SequenceNumber WriteBatch::Sequence() const { return DecodeFixed64(rep_.data());
 void WriteBatch::SetSequence(SequenceNumber seq) { EncodeFixed64(rep_.data(), seq); }
 
 void WriteBatch::Put(const Slice& key, const Slice& value) {
-  SetCount(Count() + 1);
-  rep_.push_back(static_cast<char>(ValueType::kValue));
-  PutLengthPrefixedSlice(&rep_, key);
-  PutLengthPrefixedSlice(&rep_, value);
+  Add({ValueType::kValue, key, value});
 }
 
 void WriteBatch::PutPointer(const Slice& key, const Slice& pointer) {
-  SetCount(Count() + 1);
-  rep_.push_back(static_cast<char>(ValueType::kValuePointer));
-  PutLengthPrefixedSlice(&rep_, key);
-  PutLengthPrefixedSlice(&rep_, pointer);
+  Add({ValueType::kValuePointer, key, pointer});
 }
 
-void WriteBatch::Delete(const Slice& key) {
+void WriteBatch::Delete(const Slice& key) { Add({ValueType::kDeletion, key, Slice()}); }
+
+void WriteBatch::Add(const Op& op) {
   SetCount(Count() + 1);
-  rep_.push_back(static_cast<char>(ValueType::kDeletion));
-  PutLengthPrefixedSlice(&rep_, key);
+  rep_.push_back(static_cast<char>(op.type));
+  PutLengthPrefixedSlice(&rep_, op.key);
+  if (op.type != ValueType::kDeletion) PutLengthPrefixedSlice(&rep_, op.value);
 }
 
 void WriteBatch::Append(const WriteBatch& source) {
@@ -52,79 +51,70 @@ void WriteBatch::Append(const WriteBatch& source) {
   rep_.append(source.rep_.data() + kHeader, source.rep_.size() - kHeader);
 }
 
-Status WriteBatch::Iterate(Handler* handler) const {
-  Slice input(rep_);
-  if (input.size() < kHeader) {
-    return Status::Corruption("malformed WriteBatch (too small)");
+WriteBatch::Reader::Reader(const WriteBatch& batch) : input_(batch.rep_) {
+  if (input_.size() < kHeader) {
+    status_ = Status::Corruption("malformed WriteBatch (too small)");
+    return;
   }
-  input.remove_prefix(kHeader);
-  int found = 0;
-  while (!input.empty()) {
-    ++found;
-    const auto tag = static_cast<ValueType>(input[0]);
-    input.remove_prefix(1);
-    Slice key;
-    Slice value;
-    switch (tag) {
-      case ValueType::kValue:
-        if (!GetLengthPrefixedSlice(&input, &key) ||
-            !GetLengthPrefixedSlice(&input, &value)) {
-          return Status::Corruption("bad WriteBatch Put record");
-        }
-        handler->Put(key, value);
-        break;
-      case ValueType::kValuePointer:
-        if (!GetLengthPrefixedSlice(&input, &key) ||
-            !GetLengthPrefixedSlice(&input, &value)) {
-          return Status::Corruption("bad WriteBatch PutPointer record");
-        }
-        handler->PutPointer(key, value);
-        break;
-      case ValueType::kDeletion:
-        if (!GetLengthPrefixedSlice(&input, &key)) {
-          return Status::Corruption("bad WriteBatch Delete record");
-        }
-        handler->Delete(key);
-        break;
-      default:
-        return Status::Corruption("unknown WriteBatch record tag");
-    }
-  }
-  if (found != Count()) {
-    return Status::Corruption("WriteBatch count mismatch");
-  }
-  return Status::OK();
+  remaining_ = DecodeFixed32(input_.data() + 8);
+  input_.remove_prefix(kHeader);
 }
 
-namespace {
-
-class MemTableInserter final : public WriteBatch::Handler {
- public:
-  MemTableInserter(SequenceNumber seq, MemTable* mem) : sequence_(seq), mem_(mem) {}
-
-  void Put(const Slice& key, const Slice& value) override {
-    mem_->Add(sequence_, ValueType::kValue, key, value);
-    ++sequence_;
+bool WriteBatch::Reader::Next(Op* op) {
+  if (!status_.ok()) return false;
+  if (input_.empty() || remaining_ == 0) {
+    if (!input_.empty() || remaining_ != 0) {
+      status_ = Status::Corruption("WriteBatch count mismatch");
+    }
+    return false;
   }
-  void PutPointer(const Slice& key, const Slice& pointer) override {
-    mem_->Add(sequence_, ValueType::kValuePointer, key, pointer);
-    ++sequence_;
+  op->type = static_cast<ValueType>(input_[0]);
+  input_.remove_prefix(1);
+  op->value = Slice();
+  bool ok = GetLengthPrefixedSlice(&input_, &op->key);
+  switch (op->type) {
+    case ValueType::kValue:
+    case ValueType::kValuePointer:
+      ok = ok && GetLengthPrefixedSlice(&input_, &op->value);
+      break;
+    case ValueType::kDeletion:
+      break;
+    default:
+      status_ = Status::Corruption("unknown WriteBatch record tag");
+      return false;
   }
-  void Delete(const Slice& key) override {
-    mem_->Add(sequence_, ValueType::kDeletion, key, Slice());
-    ++sequence_;
+  if (!ok) {
+    status_ = Status::Corruption("bad WriteBatch record");
+    return false;
   }
+  --remaining_;
+  return true;
+}
 
- private:
-  SequenceNumber sequence_;
-  MemTable* mem_;
-};
-
-}  // namespace
-
-Status WriteBatch::InsertInto(MemTable* mem) const {
-  MemTableInserter inserter(Sequence(), mem);
-  return Iterate(&inserter);
+Status WriteBatch::InsertInto(MemTable* mem, const ValueLog* replay_vlog,
+                              Applied* applied) const {
+  Applied counts;
+  uint64_t dropped = 0;
+  SequenceNumber sequence = Sequence();
+  Reader reader(*this);
+  Op op;
+  for (; reader.Next(&op); ++sequence) {
+    if (op.type == ValueType::kValuePointer && replay_vlog != nullptr) {
+      ValuePointer ptr;
+      if (!DecodeValuePointer(op.value, &ptr) ||
+          !replay_vlog->ReadValue(ptr, op.key, /*value=*/nullptr).ok()) {
+        ++dropped;
+        continue;
+      }
+    }
+    mem->Add(sequence, op.type, op.key, op.value);
+    ++(op.type == ValueType::kDeletion ? counts.deletes : counts.puts);
+  }
+  if (dropped > 0) {
+    LSMIO_WARN << "dropped " << dropped << " dangling value-log pointer(s) during WAL replay";
+  }
+  if (applied != nullptr) *applied = counts;
+  return reader.status();
 }
 
 Status WriteBatch::SetContents(WriteBatch* batch, const Slice& contents) {

@@ -14,10 +14,19 @@
 namespace lsmio::lsm {
 
 class MemTable;
+class ValueLog;
 
 class WriteBatch {
  public:
   WriteBatch();
+
+  /// One update: `value` is empty for kDeletion and an encoded
+  /// ValuePointer for kValuePointer.
+  struct Op {
+    ValueType type = ValueType::kValue;
+    Slice key;
+    Slice value;
+  };
 
   /// Stores key->value.
   void Put(const Slice& key, const Slice& value);
@@ -27,6 +36,8 @@ class WriteBatch {
   void PutPointer(const Slice& key, const Slice& pointer);
   /// Removes key (writes a tombstone).
   void Delete(const Slice& key);
+  /// Appends `op` (any type).
+  void Add(const Op& op);
   /// Copies all ops of `source` onto the end of this batch.
   void Append(const WriteBatch& source);
   /// Clears all ops.
@@ -37,23 +48,35 @@ class WriteBatch {
   /// Serialized size in bytes (== WAL record payload size).
   [[nodiscard]] size_t ApproximateSize() const { return rep_.size(); }
 
-  /// Applies every op to the memtable with sequence numbers starting at the
-  /// batch's sequence.
-  Status InsertInto(MemTable* mem) const;
-
-  /// Visitor over the ops (used by recovery and tests).
-  class Handler {
+  /// Forward reader over a batch's ops; the batch must outlive it. Next
+  /// bounds-checks each record; status() turns Corruption on a short
+  /// header, a malformed record, an unknown tag, or a record count that
+  /// differs from the header's, and Next returns false from then on.
+  class Reader {
    public:
-    virtual ~Handler() = default;
-    virtual void Put(const Slice& key, const Slice& value) = 0;
-    /// Pointer entry (kValuePointer). Handlers that do not distinguish
-    /// separated values can rely on the default, which forwards to Put.
-    virtual void PutPointer(const Slice& key, const Slice& pointer) {
-      Put(key, pointer);
-    }
-    virtual void Delete(const Slice& key) = 0;
+    explicit Reader(const WriteBatch& batch);
+    bool Next(Op* op);
+    [[nodiscard]] Status status() const { return status_; }
+
+   private:
+    Slice input_;
+    uint32_t remaining_ = 0;
+    Status status_;
   };
-  Status Iterate(Handler* handler) const;
+
+  /// The ops InsertInto applied.
+  struct Applied {
+    uint64_t puts = 0;  // kValue and kValuePointer
+    uint64_t deletes = 0;
+  };
+
+  /// Applies every op to the memtable with sequence numbers starting at the
+  /// batch's sequence; the only writer of memtable entries. With
+  /// `replay_vlog` set (WAL replay), a pointer op whose record does not
+  /// read back for its key is skipped but still consumes its sequence
+  /// number, and one warning per batch counts the drops.
+  Status InsertInto(MemTable* mem, const ValueLog* replay_vlog = nullptr,
+                    Applied* applied = nullptr) const;
 
   // --- internal plumbing (DB + WAL) ----------------------------------------
 

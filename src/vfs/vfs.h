@@ -30,9 +30,6 @@ struct OpenOptions {
   /// Hint that reads should be memory-mapped if the backend supports it
   /// (paper §3.1.1 exposes an mmap option on the store).
   bool use_mmap = false;
-  /// O_DIRECT-style hint: bypass OS caching. Honoured only by simulation
-  /// cost models; PosixVfs treats it as advisory.
-  bool direct = false;
   /// Write-behind hint for a WritableFile: the backend may start device
   /// writeback of appended bytes before Sync, so the final Sync waits only
   /// for the tail. Advisory and never a durability point: only Sync is.

@@ -2,8 +2,9 @@
 // the process at a randomized fault point, simulate power loss (unsynced
 // data reverts), reopen, and verify the durability contract:
 //
-//   * every acked write — a sync write that returned OK, or any write
-//     sitting below a successful write barrier — survives with its value;
+//   * every acked write — a sync write that returned OK with the WAL on, or
+//     any write sitting below a successful write barrier — survives with
+//     its value;
 //   * an unacked write may survive or vanish, but whatever value a key has
 //     must be one the caller legitimately attempted;
 //   * the store itself never corrupts: reopen succeeds, a full iteration
@@ -16,6 +17,9 @@
 // always-on sharded soak runs regardless. LSMIO_VALUE_LOG=1 runs the main
 // soak with WAL-time key/value separation on (blob segments join the fault
 // schedule); a smaller always-on value-log soak runs regardless.
+// LSMIO_WAL=0 runs the soaks with the WAL off, the paper's checkpoint mode:
+// a sync write acks nothing and only a successful barrier acks; a smaller
+// always-on WAL-off soak runs regardless.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -59,6 +63,12 @@ uint64_t ValueLogThresholdFromEnv() {
   return env != nullptr && std::atoi(env) > 0 ? 64 : 0;
 }
 
+// LSMIO_WAL=0 turns the WAL off.
+bool WalFromEnv() {
+  const char* env = std::getenv("LSMIO_WAL");
+  return env == nullptr || std::atoi(env) != 0;
+}
+
 // Values are >= 16 random bytes, so a 1-byte sentinel can never collide.
 const std::string kDeleted = "\xDE";
 
@@ -69,7 +79,7 @@ struct KeyHistory {
   size_t acked = SIZE_MAX;
 };
 
-vfs::FaultPoint RandomFaultPoint(Rng& rng, bool include_blob) {
+vfs::FaultPoint RandomFaultPoint(Rng& rng, bool include_wal, bool include_blob) {
   vfs::FaultPoint point;
   switch (rng.Uniform(4)) {
     case 0: point.kind = vfs::FaultKind::kFailOp; break;
@@ -77,12 +87,14 @@ vfs::FaultPoint RandomFaultPoint(Rng& rng, bool include_blob) {
     case 2: point.kind = vfs::FaultKind::kTornWrite; break;
     default: point.kind = vfs::FaultKind::kSyncFailure; break;
   }
-  // kBlobFile only joins the draw when the value log is on; otherwise a
-  // blob-only fault point would never fire and the iteration runs fault-free.
+  // kWalFile only joins the draw when the WAL is on, and kBlobFile when the
+  // value log is on; otherwise a fault point on a file class the store never
+  // writes would never fire and the iteration would run fault-free.
   static constexpr unsigned kFileChoices[] = {
       vfs::kWalFile, vfs::kTableFile, vfs::kManifestFile, vfs::kAnyFile,
       vfs::kBlobFile};
-  point.file_classes = kFileChoices[rng.Uniform(include_blob ? 5 : 4)];
+  const unsigned first = include_wal ? 0 : 1;
+  point.file_classes = kFileChoices[first + rng.Uniform((include_blob ? 5 : 4) - first)];
   static constexpr unsigned kOpChoices[] = {
       vfs::kAppendOp, vfs::kSyncOp, vfs::kCreateOp, vfs::kAnyWriteOp};
   point.ops = kOpChoices[rng.Uniform(4)];
@@ -91,7 +103,7 @@ vfs::FaultPoint RandomFaultPoint(Rng& rng, bool include_blob) {
 }
 
 void RunCrashIteration(uint64_t seed, int num_shards,
-                       uint64_t value_log_threshold) {
+                       uint64_t value_log_threshold, bool wal) {
   Rng rng(seed);
   vfs::MemVfs base;
   vfs::FaultVfs fs(base);
@@ -101,6 +113,7 @@ void RunCrashIteration(uint64_t seed, int num_shards,
   options.num_shards = num_shards;
   options.write_buffer_size = 8 * KiB;  // small enough to force flushes
   options.disable_compaction = rng.Bernoulli(0.5);
+  options.disable_wal = !wal;
   options.value_log_threshold = value_log_threshold;
   if (value_log_threshold > 0) {
     options.value_log_segment_size = 4 * KiB;  // force rotation mid-run
@@ -110,7 +123,7 @@ void RunCrashIteration(uint64_t seed, int num_shards,
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok()) << "seed " << seed;
 
   std::map<std::string, KeyHistory> model;
-  fs.Arm(RandomFaultPoint(rng, value_log_threshold > 0));
+  fs.Arm(RandomFaultPoint(rng, wal, value_log_threshold > 0));
 
   const int kOps = 80;
   const int kKeySpace = 16;
@@ -135,7 +148,7 @@ void RunCrashIteration(uint64_t seed, int num_shards,
     const Status s =
         is_delete ? db->Delete(wo, key) : db->Put(wo, key, value);
     if (!s.ok()) break;  // the engine latched read-only; stop writing
-    if (sync) h.acked = h.values.size() - 1;
+    if (sync && wal) h.acked = h.values.size() - 1;
 
     if (rng.Bernoulli(0.05)) {
       if (!db->FlushMemTable(true).ok()) break;
@@ -211,11 +224,12 @@ TEST(CrashRecoveryTest, RandomizedFaultPointsPreserveAckedWrites) {
   const int iters = IterationsFromEnv();
   const int shards = ShardsFromEnv();
   const uint64_t threshold = ValueLogThresholdFromEnv();
+  const bool wal = WalFromEnv();
   for (int i = 0; i < iters; ++i) {
     ASSERT_NO_FATAL_FAILURE(
-        RunCrashIteration(1000 + static_cast<uint64_t>(i), shards, threshold))
+        RunCrashIteration(1000 + static_cast<uint64_t>(i), shards, threshold, wal))
         << "iteration " << i << " shards " << shards
-        << " value_log_threshold " << threshold;
+        << " value_log_threshold " << threshold << " wal " << wal;
   }
 }
 
@@ -229,7 +243,7 @@ TEST(CrashRecoveryTest, ShardedStoreSurvivesRandomizedFaultPoints) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_NO_FATAL_FAILURE(
         RunCrashIteration(77000 + static_cast<uint64_t>(i), /*num_shards=*/4,
-                          ValueLogThresholdFromEnv()))
+                          ValueLogThresholdFromEnv(), WalFromEnv()))
         << "iteration " << i;
   }
 }
@@ -245,7 +259,23 @@ TEST(CrashRecoveryTest, ValueLogStoreSurvivesRandomizedFaultPoints) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_NO_FATAL_FAILURE(
         RunCrashIteration(88000 + static_cast<uint64_t>(i), /*num_shards=*/1,
-                          /*value_log_threshold=*/64))
+                          /*value_log_threshold=*/64, WalFromEnv()))
+        << "iteration " << i;
+  }
+}
+
+// Always-on WAL-off coverage: a shorter soak of the paper's checkpoint mode,
+// where only a successful write barrier acks (the CI WAL-off step runs the
+// full count via LSMIO_WAL=0). A distinct seed base keeps the fault
+// schedules disjoint from the other soaks.
+TEST(CrashRecoveryTest, WalOffStoreSurvivesRandomizedFaultPoints) {
+  if (!WalFromEnv()) {
+    GTEST_SKIP() << "main soak already running WAL-off via LSMIO_WAL";
+  }
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_NO_FATAL_FAILURE(
+        RunCrashIteration(99000 + static_cast<uint64_t>(i), ShardsFromEnv(),
+                          ValueLogThresholdFromEnv(), /*wal=*/false))
         << "iteration " << i;
   }
 }

@@ -16,6 +16,7 @@
 #include "lsm/block_builder.h"
 #include "lsm/cache.h"
 #include "lsm/comparator.h"
+#include "lsm/db.h"
 #include "lsm/dbformat.h"
 #include "lsm/filter_policy.h"
 #include "lsm/format.h"
@@ -290,6 +291,75 @@ TEST_F(TableTest, DataBlockHandleOutOfRangeIsCorruption) {
     const Slice ikeys[] = {seek};
     EXPECT_TRUE(table->MultiGet({}, ikeys, [](size_t, const Slice&, const Slice&) {})
                     .IsCorruption());
+  }
+}
+
+// A flipped byte in a table's metaindex or bloom filter block fails its
+// checksum: the table does not open, so reads see Corruption instead of a
+// filter that drops present keys.
+TEST(TableMetaBlockTest, FlippedFilterOrMetaindexByteIsCorruption) {
+  for (const bool flip_filter : {true, false}) {
+    SCOPED_TRACE(flip_filter ? "filter byte" : "metaindex byte");
+    vfs::MemVfs fs;
+    Options options;
+    options.vfs = &fs;
+    options.disable_compaction = true;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    constexpr int kKeys = 2000;
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(db->Put({}, "key" + std::to_string(i), "value" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable(true).ok());
+    db.reset();
+
+    std::vector<std::string> children;
+    ASSERT_TRUE(fs.ListDir("/db", &children).ok());
+    std::string table_path;
+    for (const std::string& child : children) {
+      uint64_t number = 0;
+      FileType type = FileType::kUnknown;
+      if (ParseFileName(child, &number, &type) && type == FileType::kTableFile) {
+        ASSERT_TRUE(table_path.empty()) << "more than one table";
+        table_path = "/db/" + child;
+      }
+    }
+    ASSERT_FALSE(table_path.empty());
+    std::string file;
+    ASSERT_TRUE(vfs::ReadFileToString(fs, table_path, &file).ok());
+    Slice footer_input(file.data() + file.size() - Footer::kEncodedLength,
+                       Footer::kEncodedLength);
+    Footer footer;
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    BlockHandle target = footer.metaindex_handle();
+    if (flip_filter) {
+      std::unique_ptr<vfs::RandomAccessFile> raf;
+      ASSERT_TRUE(fs.NewRandomAccessFile(table_path, {}, &raf).ok());
+      std::string meta_contents;
+      ASSERT_TRUE(ReadBlockContents(raf.get(), {}, true, target, &meta_contents).ok());
+      Block meta(std::move(meta_contents));
+      std::unique_ptr<Iterator> it(meta.NewIterator(BytewiseComparator()));
+      it->Seek("filter.lsmio.BuiltinBloomFilter");
+      ASSERT_TRUE(it->Valid());
+      Slice handle_encoding = it->value();
+      ASSERT_TRUE(target.DecodeFrom(&handle_encoding).ok());
+    }
+    std::unique_ptr<vfs::FileHandle> handle;
+    ASSERT_TRUE(fs.OpenFileHandle(table_path, false, {}, &handle).ok());
+    const uint64_t at = target.offset() + target.size() / 4;
+    ASSERT_TRUE(handle->WriteAt(at, std::string(1, static_cast<char>(~file[at]))).ok());
+
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    ReadOptions verified;
+    verified.verify_checksums = true;
+    int corrupt = 0;
+    for (int i = 0; i < kKeys; ++i) {
+      std::string value;
+      const Status s = db->Get(verified, "key" + std::to_string(i), &value);
+      ASSERT_FALSE(s.IsNotFound()) << "key" << i << " lost";
+      if (s.IsCorruption()) ++corrupt;
+    }
+    EXPECT_GT(corrupt, 0);
   }
 }
 

@@ -238,6 +238,64 @@ TEST_F(ValueLogDbTest, WalReplayRecoversPointerEntries) {
   EXPECT_EQ(Get("persisted"), Value('p', 512));
 }
 
+// A replayed pointer op whose record does not read back is dropped: the
+// key keeps its previous version, the rest of its batch applies, and the
+// reopened store takes new writes.
+TEST_F(ValueLogDbTest, WalReplayDropsDanglingPointer) {
+  Open(BaseOptions());
+  WriteOptions sync_write;
+  sync_write.sync = true;
+  ASSERT_TRUE(db_->Put(sync_write, "a", Value('1', 100)).ok());
+  const auto blobs = BlobFiles(fs_, "/db");
+  ASSERT_EQ(blobs.size(), 1U);
+  const uint64_t record = RecordSize("a", 100);
+  std::string dangling;
+  EncodeValuePointer(&dangling, ValuePointer{SegmentNumber(blobs[0]), record, record});
+  WriteBatch batch;
+  batch.PutPointer("a", dangling);
+  batch.Put("b", "v2");
+  ASSERT_TRUE(db_->Write(sync_write, &batch).ok());
+
+  Open(BaseOptions());  // closes without a flush, then replays the WAL
+  EXPECT_EQ(Get("a"), Value('1', 100));
+  EXPECT_EQ(Get("b"), "v2");
+  ASSERT_TRUE(db_->Put(sync_write, "c", "v3").ok());
+  EXPECT_EQ(Get("c"), "v3");
+}
+
+// One segment per value: reading more values than the 64 cached segment
+// handles evicts and reopens handles, and a swept segment's handle goes
+// with its file.
+TEST_F(ValueLogDbTest, SegmentHandleCacheEvictsAndSweeps) {
+  Options options = BaseOptions();
+  options.value_log_segment_size = 1;
+  Open(options);
+  constexpr int kKeys = 80;
+  const auto value_of = [](int i) { return Value(static_cast<char>('a' + i % 26), 100 + i); };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(db_->Put({}, "key" + std::to_string(i), value_of(i)).ok());
+  }
+  ASSERT_EQ(BlobFiles(fs_, "/db").size(), static_cast<size_t>(kKeys));
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kKeys; ++i) {
+      EXPECT_EQ(Get("key" + std::to_string(i)), value_of(i)) << round << " " << i;
+    }
+  }
+
+  // Shadow key0's separated value and compact: its segment drains and is
+  // swept.
+  ASSERT_TRUE(db_->FlushMemTable(true).ok());
+  ASSERT_TRUE(db_->Put({}, "key0", "inline").ok());
+  ASSERT_TRUE(db_->FlushMemTable(true).ok());
+  ASSERT_TRUE(db_->CompactRange().ok());
+  EXPECT_EQ(db_->GetStats().value_log_segments_deleted, 1U);
+  EXPECT_EQ(BlobFiles(fs_, "/db").size(), static_cast<size_t>(kKeys - 1));
+  EXPECT_EQ(Get("key0"), "inline");
+  for (int i = 1; i < kKeys; ++i) {
+    EXPECT_EQ(Get("key" + std::to_string(i)), value_of(i)) << i;
+  }
+}
+
 TEST_F(ValueLogDbTest, ReopenWithThresholdZeroStillResolvesOldPointers) {
   Open(BaseOptions());
   ASSERT_TRUE(db_->Put({}, "legacy", Value('l', 256)).ok());

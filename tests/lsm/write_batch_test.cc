@@ -2,30 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/random.h"
 #include "lsm/comparator.h"
+#include "lsm/db.h"
+#include "lsm/log_writer.h"
 #include "lsm/memtable.h"
+#include "lsm/value_log.h"
+#include "vfs/mem_vfs.h"
 
 namespace lsmio::lsm {
 namespace {
 
-// Records the ops a batch contains in order.
-struct OpRecorder final : WriteBatch::Handler {
+// The ops a batch contains in order, and the reader's final status.
+struct Recorded {
   std::vector<std::string> ops;
-  void Put(const Slice& key, const Slice& value) override {
-    ops.push_back("Put(" + key.ToString() + "," + value.ToString() + ")");
-  }
-  void Delete(const Slice& key) override {
-    ops.push_back("Delete(" + key.ToString() + ")");
-  }
+  Status status;
 };
+
+Recorded ReadOps(const WriteBatch& batch) {
+  Recorded rec;
+  WriteBatch::Op op;
+  WriteBatch::Reader reader(batch);
+  while (reader.Next(&op)) {
+    if (op.type == ValueType::kDeletion) {
+      rec.ops.push_back("Delete(" + op.key.ToString() + ")");
+    } else {
+      const char* name = op.type == ValueType::kValuePointer ? "PutPointer(" : "Put(";
+      rec.ops.push_back(name + op.key.ToString() + "," + op.value.ToString() + ")");
+    }
+  }
+  rec.status = reader.status();
+  return rec;
+}
+
+// A batch whose serialized form is `rep`.
+WriteBatch FromRep(const std::string& rep) {
+  WriteBatch batch;
+  EXPECT_TRUE(WriteBatch::SetContents(&batch, rep).ok());
+  return batch;
+}
+
+std::string Rep(const WriteBatch& batch) { return batch.Contents().ToString(); }
 
 TEST(WriteBatchTest, EmptyBatch) {
   WriteBatch batch;
   EXPECT_EQ(batch.Count(), 0);
-  OpRecorder rec;
-  ASSERT_TRUE(batch.Iterate(&rec).ok());
+  const Recorded rec = ReadOps(batch);
+  ASSERT_TRUE(rec.status.ok());
   EXPECT_TRUE(rec.ops.empty());
 }
 
@@ -34,11 +61,13 @@ TEST(WriteBatchTest, OpsPreserveOrder) {
   batch.Put("a", "1");
   batch.Delete("b");
   batch.Put("c", "3");
-  EXPECT_EQ(batch.Count(), 3);
+  batch.PutPointer("d", "ptr");
+  EXPECT_EQ(batch.Count(), 4);
 
-  OpRecorder rec;
-  ASSERT_TRUE(batch.Iterate(&rec).ok());
-  EXPECT_EQ(rec.ops, (std::vector<std::string>{"Put(a,1)", "Delete(b)", "Put(c,3)"}));
+  const Recorded rec = ReadOps(batch);
+  ASSERT_TRUE(rec.status.ok());
+  EXPECT_EQ(rec.ops, (std::vector<std::string>{"Put(a,1)", "Delete(b)", "Put(c,3)",
+                                               "PutPointer(d,ptr)"}));
 }
 
 TEST(WriteBatchTest, SequenceRoundTrip) {
@@ -56,8 +85,8 @@ TEST(WriteBatchTest, AppendConcatenates) {
   a.Append(b);
   EXPECT_EQ(a.Count(), 3);
 
-  OpRecorder rec;
-  ASSERT_TRUE(a.Iterate(&rec).ok());
+  const Recorded rec = ReadOps(a);
+  ASSERT_TRUE(rec.status.ok());
   EXPECT_EQ(rec.ops, (std::vector<std::string>{"Put(x,1)", "Put(y,2)", "Delete(z)"}));
 }
 
@@ -80,8 +109,8 @@ TEST(WriteBatchTest, ContentsRoundTripThroughSetContents) {
   EXPECT_EQ(b.Count(), 2);
   EXPECT_EQ(b.Sequence(), 42u);
 
-  OpRecorder rec;
-  ASSERT_TRUE(b.Iterate(&rec).ok());
+  const Recorded rec = ReadOps(b);
+  ASSERT_TRUE(rec.status.ok());
   EXPECT_EQ(rec.ops, (std::vector<std::string>{"Put(key,value)", "Delete(gone)"}));
 }
 
@@ -90,15 +119,29 @@ TEST(WriteBatchTest, SetContentsRejectsTruncated) {
   EXPECT_TRUE(WriteBatch::SetContents(&b, Slice("short", 5)).IsCorruption());
 }
 
-TEST(WriteBatchTest, IterateDetectsCountMismatch) {
+TEST(WriteBatchTest, ReaderDetectsCountMismatch) {
   WriteBatch a;
-  a.Put("k", "v");
-  std::string rep(a.Contents().data(), a.Contents().size());
-  rep[8] = 5;  // corrupt the count field
-  WriteBatch b;
-  ASSERT_TRUE(WriteBatch::SetContents(&b, rep).ok());
-  OpRecorder rec;
-  EXPECT_TRUE(b.Iterate(&rec).IsCorruption());
+  a.Put("k1", "v1");
+  a.Delete("k2");
+  for (const int count : {1, 3, 5}) {  // one too low, one too high, far off
+    std::string rep = Rep(a);
+    rep[8] = static_cast<char>(count);  // corrupt the count field
+    EXPECT_TRUE(ReadOps(FromRep(rep)).status.IsCorruption()) << "count " << count;
+  }
+}
+
+TEST(WriteBatchTest, ReaderRejectsMalformedRecords) {
+  WriteBatch a;
+  a.Put("key", "value");
+  // Header (12), tag (1), key length (1), "key" (3), value length (1),
+  // "value" (5).
+  const std::string rep = Rep(a);
+  std::string unknown_tag = rep;
+  unknown_tag[12] = 0x7f;
+  for (const std::string& bad : {rep.substr(0, 16) /* inside the key */,
+                                 rep.substr(0, 22) /* inside the value */, unknown_tag}) {
+    EXPECT_TRUE(ReadOps(FromRep(bad)).status.IsCorruption()) << bad.size() << " bytes";
+  }
 }
 
 TEST(WriteBatchTest, InsertIntoAssignsSequentialSequences) {
@@ -111,7 +154,10 @@ TEST(WriteBatchTest, InsertIntoAssignsSequentialSequences) {
   batch.Put("a", "va");
   batch.Put("b", "vb");
   batch.Delete("a");
-  ASSERT_TRUE(batch.InsertInto(mem).ok());
+  WriteBatch::Applied applied;
+  ASSERT_TRUE(batch.InsertInto(mem, nullptr, &applied).ok());
+  EXPECT_EQ(applied.puts, 2U);
+  EXPECT_EQ(applied.deletes, 1U);
 
   // "a" was deleted at sequence 102, put at 100.
   std::string value;
@@ -140,9 +186,144 @@ TEST(WriteBatchTest, BinaryKeysAndValuesSurvive) {
   const std::string value("\x00zero\x00embedded", 14);
   batch.Put(key, value);
 
-  OpRecorder rec;
-  ASSERT_TRUE(batch.Iterate(&rec).ok());
+  const Recorded rec = ReadOps(batch);
+  ASSERT_TRUE(rec.status.ok());
   EXPECT_EQ(rec.ops[0], "Put(" + key + "," + value + ")");
+}
+
+// --- seeded mutation test ------------------------------------------------------
+//
+// Valid batches of Put, PutPointer and Delete ops are mutated by byte flips,
+// truncation, inflated length varints and a rewritten count. Every case
+// must end OK or Corruption at each decoder it reaches: SetContents, the
+// reader, InsertInto, and WAL replay in DB::Open.
+
+// A valid random batch, with the offset of each length varint in its rep.
+struct Encoded {
+  std::string rep;
+  std::vector<size_t> length_fields;
+};
+
+Encoded RandomBatch(Rng& rng) {
+  WriteBatch batch;
+  batch.SetSequence(1 + rng.Uniform(1000));
+  Encoded out;
+  const uint64_t ops = 1 + rng.Uniform(6);
+  for (uint64_t i = 0; i < ops; ++i) {
+    const std::string key = "key" + std::to_string(rng.Uniform(40));
+    const size_t start = batch.ApproximateSize();
+    out.length_fields.push_back(start + 1);  // after the tag
+    const size_t value_field = start + 1 + VarintLength(key.size()) + key.size();
+    switch (rng.Uniform(3)) {
+      case 0:
+        batch.Put(key, std::string(rng.Uniform(200), 'v'));
+        out.length_fields.push_back(value_field);
+        break;
+      case 1: {
+        std::string pointer;
+        EncodeValuePointer(&pointer, ValuePointer{1 + rng.Uniform(4), rng.Uniform(4096),
+                                                  6 + rng.Uniform(300)});
+        batch.PutPointer(key, pointer);
+        out.length_fields.push_back(value_field);
+        break;
+      }
+      default:
+        batch.Delete(key);
+        break;
+    }
+  }
+  out.rep = Rep(batch);
+  return out;
+}
+
+std::string Mutate(const Encoded& valid, Rng& rng) {
+  std::string rep = valid.rep;
+  switch (rng.Uniform(4)) {
+    case 0:  // byte flips
+      for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+        rep[rng.Uniform(rep.size())] ^= static_cast<char>(1 + rng.Uniform(255));
+      }
+      break;
+    case 1:  // truncation
+      rep.resize(rng.Uniform(rep.size()));
+      break;
+    case 2: {  // an inflated length varint
+      const size_t at = valid.length_fields[rng.Uniform(valid.length_fields.size())];
+      uint32_t length = 0;
+      const char* end = GetVarint32Ptr(rep.data() + at, rep.data() + rep.size(), &length);
+      const uint32_t inflated =
+          rng.Bernoulli(0.5) ? length + 1 + static_cast<uint32_t>(rng.Uniform(64)) : UINT32_MAX;
+      std::string field;
+      PutVarint32(&field, inflated);
+      rep.replace(at, static_cast<size_t>(end - (rep.data() + at)), field);
+      break;
+    }
+    default: {  // a rewritten count
+      const uint32_t count = DecodeFixed32(rep.data() + 8);
+      const uint32_t choices[] = {count - 1, count + 1, static_cast<uint32_t>(rng.Next())};
+      EncodeFixed32(rep.data() + 8, choices[rng.Uniform(3)]);
+      break;
+    }
+  }
+  return rep;
+}
+
+// Replays `rep` as the one record of a store's WAL.
+Status OpenWithWalRecord(const std::string& rep) {
+  vfs::MemVfs fs;
+  Options options;
+  options.vfs = &fs;
+  options.value_log_threshold = 64;  // replay checks pointer ops
+  std::unique_ptr<DB> db;
+  LSMIO_RETURN_IF_ERROR(DB::Open(options, "/db", &db));
+  db.reset();
+  std::vector<std::string> children;
+  LSMIO_RETURN_IF_ERROR(fs.ListDir("/db", &children));
+  for (const std::string& child : children) {
+    uint64_t number = 0;
+    FileType type = FileType::kUnknown;
+    if (!ParseFileName(child, &number, &type) || type != FileType::kLogFile) continue;
+    std::unique_ptr<vfs::WritableFile> file;
+    LSMIO_RETURN_IF_ERROR(fs.NewWritableFile("/db/" + child, {}, &file));
+    log::Writer writer(file.get());
+    LSMIO_RETURN_IF_ERROR(writer.AddRecord(rep));
+    LSMIO_RETURN_IF_ERROR(file->Close());
+  }
+  return DB::Open(options, "/db", &db);
+}
+
+TEST(WriteBatchMutationTest, MutatedBatchesDecodeToOkOrCorruption) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  Rng rng(2801);
+  constexpr int kCases = 300;
+  int corrupt = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const Encoded valid = RandomBatch(rng);
+    const std::string rep = Mutate(valid, rng);
+    SCOPED_TRACE("case " + std::to_string(i));
+
+    WriteBatch batch;
+    const Status set = WriteBatch::SetContents(&batch, rep);
+    ASSERT_TRUE(set.ok() || set.IsCorruption()) << set.ToString();
+    if (set.ok()) {
+      const Status read = ReadOps(batch).status;
+      ASSERT_TRUE(read.ok() || read.IsCorruption()) << read.ToString();
+      auto* mem = new MemTable(icmp);
+      mem->Ref();
+      const Status insert = batch.InsertInto(mem);
+      mem->Unref();
+      EXPECT_EQ(insert.ToString(), read.ToString());
+      if (!read.ok()) ++corrupt;
+    } else {
+      ++corrupt;
+    }
+
+    const Status open = OpenWithWalRecord(rep);
+    ASSERT_TRUE(open.ok() || open.IsCorruption()) << open.ToString();
+  }
+  // The mutations must reach the error paths, not only re-encode valid
+  // batches.
+  EXPECT_GT(corrupt, kCases / 2);
 }
 
 }  // namespace
