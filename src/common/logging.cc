@@ -23,7 +23,6 @@ const char* LevelName(LogLevel level) noexcept {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) noexcept { g_level.store(static_cast<int>(level)); }
 LogLevel GetLogLevel() noexcept { return static_cast<LogLevel>(g_level.load()); }
 
 namespace internal {

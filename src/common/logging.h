@@ -10,8 +10,7 @@ namespace lsmio {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Sets/gets the global minimum level that will be emitted.
-void SetLogLevel(LogLevel level) noexcept;
+/// The global minimum level that will be emitted.
 LogLevel GetLogLevel() noexcept;
 
 namespace internal {

@@ -53,16 +53,6 @@ struct LsmioOptions {
   /// > 2 let checkpoint bursts roll to a fresh buffer instead of stalling
   /// behind an in-flight flush. Minimum effective value is 2.
   int max_write_buffer_number = 2;
-  /// Soft L0 trigger for graduated write backpressure: from this many L0
-  /// files the engine paces writes with per-batch delays instead of
-  /// running into the hard stop-trigger stall. 0 disables pacing. Ignored
-  /// in the paper's checkpoint configuration (disable_compaction), where
-  /// L0 is unbounded and writes are never delayed.
-  int l0_slowdown_writes_trigger = 20;
-  /// Budget on background-I/O bytes/sec (flush + compaction table writes,
-  /// store-wide across shards); flushes preempt compaction writes.
-  /// 0 = unlimited.
-  uint64_t bytes_per_sec = 0;
   /// Hash shards the store's keyspace is split into (1 = single LSM,
   /// previous on-disk format). N > 1 runs N sub-LSMs with independent
   /// write queues/WALs and concurrent flushes/compactions; fixed at store

@@ -26,8 +26,6 @@ lsm::Options ToEngineOptions(const LsmioOptions& options) {
   // for any value.
   engine.background_threads = options.background_threads;
   engine.max_write_buffer_number = options.max_write_buffer_number;
-  engine.l0_slowdown_writes_trigger = options.l0_slowdown_writes_trigger;
-  engine.bytes_per_sec = options.bytes_per_sec;
   engine.num_shards = options.num_shards;
   return engine;
 }

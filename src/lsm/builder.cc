@@ -73,10 +73,10 @@ Status TableOutputWriter::Add(const Slice& key, const Slice& value) {
   current_.builder->Add(key, value);
   // Track the blob segments this table's pointer entries reference, so
   // value-log GC can find the tables that pin a mostly-garbage segment.
-  ValuePointer ptr;
+  uint64_t segment = 0;
   if (parsed_ok && parsed.type == ValueType::kValuePointer &&
-      DecodeValuePointer(value, &ptr)) {
-    current_.blob_refs.insert(ptr.segment);
+      ValueLog::PointerSegment(value, &segment)) {
+    current_.blob_refs.insert(segment);
   }
   return Status::OK();
 }

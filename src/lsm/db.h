@@ -133,11 +133,15 @@ struct DbStats {
 
 class DB {
  public:
-  /// Opens (creating per options) the database at `name`.
+  /// Opens (creating per options) the database at `name`. A missing store
+  /// is NotFound on a read-only open and InvalidArgument under
+  /// create_if_missing=false; an existing one is InvalidArgument under
+  /// error_if_exists or when it was created with another num_shards.
   static Status Open(const Options& options, const std::string& name,
                      std::unique_ptr<DB>* dbptr);
 
-  /// Destroys the database at `name` (removes all its files).
+  /// Destroys the database at `name`: removes its files and those of
+  /// every shard directory it holds.
   static Status Destroy(const Options& options, const std::string& name);
 
   DB() = default;
@@ -145,11 +149,19 @@ class DB {
   DB(const DB&) = delete;
   DB& operator=(const DB&) = delete;
 
-  virtual Status Put(const WriteOptions& options, const Slice& key,
-                     const Slice& value) = 0;
-  virtual Status Delete(const WriteOptions& options, const Slice& key) = 0;
   /// Applies the batch atomically.
   virtual Status Write(const WriteOptions& options, WriteBatch* updates) = 0;
+  /// One-op writes: each builds a one-op WriteBatch and calls Write.
+  Status Put(const WriteOptions& options, const Slice& key, const Slice& value) {
+    WriteBatch batch;
+    batch.Put(key, value);
+    return Write(options, &batch);
+  }
+  Status Delete(const WriteOptions& options, const Slice& key) {
+    WriteBatch batch;
+    batch.Delete(key);
+    return Write(options, &batch);
+  }
 
   virtual Status Get(const ReadOptions& options, const Slice& key,
                      std::string* value) = 0;

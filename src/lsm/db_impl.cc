@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "common/inline_vector.h"
 #include "common/logging.h"
@@ -14,7 +13,6 @@
 #include "lsm/filter_policy.h"
 #include "lsm/log_reader.h"
 #include "lsm/merger.h"
-#include "lsm/sharded_db.h"
 #include "vfs/posix_vfs.h"
 
 namespace lsmio::lsm {
@@ -51,8 +49,7 @@ DBImpl::DBImpl(const Options& options, const std::string& dbname,
                Background* shared_background)
     : options_(options),
       dbname_(dbname),
-      internal_comparator_(options.comparator != nullptr ? options.comparator
-                                                         : BytewiseComparator()),
+      internal_comparator_(BytewiseComparator()),
       filter_policy_(NewBloomFilterPolicy(kBloomBitsPerKey)),
       write_controller_(options) {
   if (!options_.disable_cache) {
@@ -118,26 +115,15 @@ Status DBImpl::NewDb() {
   return versions_->WriteSnapshot();
 }
 
-Status DBImpl::Initialize() {
+Status DBImpl::Initialize(bool create) {
   MutexLock lock(&mu_);
-
-  const bool exists = fs().FileExists(CurrentFileName(dbname_));
-  if (!exists) {
-    if (options_.read_only) {
-      return Status::NotFound(dbname_ + " does not exist (read_only open)");
-    }
-    if (!options_.create_if_missing) {
-      return Status::InvalidArgument(dbname_ + " does not exist (create_if_missing=false)");
-    }
-    LSMIO_RETURN_IF_ERROR(NewDb());
-  } else if (options_.error_if_exists) {
-    return Status::InvalidArgument(dbname_ + " exists (error_if_exists=true)");
-  }
 
   bool save_manifest = false;
   std::vector<uint64_t> logs;
   bool blob_files_on_disk = false;
-  if (exists) {
+  if (create) {
+    LSMIO_RETURN_IF_ERROR(NewDb());
+  } else {
     LSMIO_RETURN_IF_ERROR(versions_->Recover(&save_manifest));
 
     // Replay any WAL files at or after the recorded log number, in order.
@@ -283,18 +269,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence)
 
 // --- writes -------------------------------------------------------------------
 
-Status DBImpl::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
-  WriteBatch batch;
-  batch.Put(key, value);
-  return Write(options, &batch);
-}
-
-Status DBImpl::Delete(const WriteOptions& options, const Slice& key) {
-  WriteBatch batch;
-  batch.Delete(key);
-  return Write(options, &batch);
-}
-
 Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   if (options_.read_only) {
     return Status::InvalidArgument("database opened read-only");
@@ -373,6 +347,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     if (log_batch == &tmp_vlog_batch_) tmp_vlog_batch_.Clear();
     if (status.ok()) ReportPoolUsage(/*wrote=*/true);
   }
+  ServeArbiterRequest();
 
   // Mark every writer in the group done and hand leadership to the next.
   for (;;) {
@@ -386,14 +361,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     }
     if (ready == last_writer) break;
   }
-  if (!writers_.empty()) {
-    writers_.front()->cv.Signal();
-  } else if (arbiter_switch_requested_.load(std::memory_order_acquire)) {
-    // A victim request that arrived after this group's MakeRoomForWrite,
-    // with no leader behind it to honour it: ArbiterFlushCall may already
-    // have deferred to this group, so schedule it again.
-    RequestArbiterFlush();
-  }
+  if (!writers_.empty()) writers_.front()->cv.Signal();
   write_latency_rec_.Record(clock_->NowMicros() - op_start_micros);
   return status;
 }
@@ -485,31 +453,37 @@ void DBImpl::RequestArbiterFlush() {
 
 void DBImpl::ArbiterFlushCall() {
   MutexLock lock(&mu_);
-  // Cleared before processing (under mu_): a victim request arriving
-  // mid-call schedules a fresh task instead of being silently absorbed.
+  // Cleared before serving (under mu_): a victim request arriving later
+  // schedules a fresh call instead of being silently absorbed.
   arbiter_task_pending_.store(false, std::memory_order_release);
-  if (!shutting_down_.load() && bg_error_.ok() &&
-      arbiter_switch_requested_.load(std::memory_order_acquire)) {
-    if (MemTableQueueFull()) {
-      // Flushes already in flight will release this store's memory; drop
-      // the request (the pool re-picks while usage stays over the
-      // watermark) rather than queue more stall pressure behind it.
-      arbiter_switch_requested_.store(false, std::memory_order_release);
-      MaybeScheduleFlush();
-    } else if (writers_.empty() && mem_->num_entries() > 0) {
-      // Idle store — the common victim (cold tenants have no writers in
-      // flight). An empty writer queue under mu_ gives this thread the
-      // same mem_/log_ exclusivity a group-commit leader has.
-      ++stats_.arbiter_forced_flushes;
-      const Status s = SwitchMemTable();
-      if (!s.ok()) RecordBackgroundError(s);
-      ReportPoolUsage(/*wrote=*/false);
-    }
-    // else: a write group is in flight — its leader consumes the flag in
-    // MakeRoomForWrite without ever blocking on this store's behalf, or,
-    // if already past it, schedules this call again when the group ends.
-  }
+  // A queued writer serves the request when it finishes at the front. An
+  // idle store (the common victim: cold tenants have no writers in flight)
+  // is served here: an empty writer queue under mu_ gives this thread the
+  // front's mem_/log_ exclusivity.
+  if (writers_.empty()) ServeArbiterRequest();
   bg_cv_.SignalAll();
+}
+
+void DBImpl::ServeArbiterRequest() {
+  if (!arbiter_switch_requested_.exchange(false, std::memory_order_acq_rel) ||
+      shutting_down_.load() || !bg_error_.ok()) {
+    return;
+  }
+  if (mem_->num_entries() == 0 || MemTableQueueFull() ||
+      (!options_.disable_compaction &&
+       versions_->current()->NumFiles(0) >= options_.l0_stop_writes_trigger)) {
+    // Nothing to switch, or the switch would park this store's next writer
+    // behind its full flush queue or the L0 stop trigger: a stall the
+    // arbiter must never induce. Drop the request; in-flight flushes
+    // release memory, and the pool re-picks while usage stays over the
+    // watermark.
+    MaybeScheduleFlush();
+    return;
+  }
+  ++stats_.arbiter_forced_flushes;
+  const Status s = SwitchMemTable();
+  if (!s.ok()) RecordBackgroundError(s);
+  ReportPoolUsage(/*wrote=*/false);
 }
 
 void DBImpl::StallWait(StallCause cause) {
@@ -536,31 +510,10 @@ Status DBImpl::MakeRoomForWrite(uint64_t batch_bytes) {
                                   : options_.write_buffer_size;
   for (;;) {
     if (!bg_error_.ok()) return ReadOnlyError();
-    bool arbiter_switch = false;
-    if (pooled) {
-      // Cross-store pressure moves with other tenants' writes, not just
-      // local events: refresh pacing on every admission attempt.
-      RefreshWritePressure();
-      arbiter_switch =
-          arbiter_switch_requested_.load(std::memory_order_acquire) &&
-          mem_->num_entries() > 0;
-      if (arbiter_switch &&
-          (MemTableQueueFull() ||
-           (!options_.disable_compaction &&
-            versions_->current()->NumFiles(0) >=
-                options_.l0_stop_writes_trigger))) {
-        // Honoring the request would park this writer behind its own full
-        // flush queue (or L0 stop cliff) — a stall the arbiter must never
-        // induce. In-flight flushes are already releasing memory; drop the
-        // request (the pool re-picks while over the watermark).
-        arbiter_switch_requested_.store(false, std::memory_order_release);
-        MaybeScheduleFlush();
-        arbiter_switch = false;
-      }
-    }
-    if (!arbiter_switch &&
-        (mem_->ApproximateMemoryUsage() <= mem_cap ||
-         mem_->num_entries() == 0)) {
+    // Cross-store pressure moves with other tenants' writes, not just local
+    // events: refresh pacing on every admission attempt.
+    if (pooled) RefreshWritePressure();
+    if (mem_->ApproximateMemoryUsage() <= mem_cap || mem_->num_entries() == 0) {
       // The empty-memtable check matters when write_buffer_size is smaller
       // than the arena's first block: switching would just install another
       // over-budget empty memtable, forever.
@@ -600,7 +553,6 @@ Status DBImpl::MakeRoomForWrite(uint64_t batch_bytes) {
       StallWait(kStallL0);
       continue;
     }
-    if (arbiter_switch) ++stats_.arbiter_forced_flushes;
     LSMIO_RETURN_IF_ERROR(SwitchMemTable());
   }
 }
@@ -639,7 +591,7 @@ Status DBImpl::SwitchMemTable() {
   mem_->Ref();
   // Whatever asked for this switch, it serves a pending arbiter request:
   // the memory the pick counted is now headed for a flush. A request left
-  // set would force the next write group to switch a near-empty memtable.
+  // set would switch the near-empty new memtable when the front finishes.
   arbiter_switch_requested_.store(false, std::memory_order_release);
   MaybeScheduleFlush();
   RefreshWritePressure();
@@ -665,6 +617,7 @@ Status DBImpl::FlushMemTable(bool wait) {
       }
       s = bg_error_.ok() ? SwitchMemTable() : ReadOnlyError();
     }
+    ServeArbiterRequest();
     writers_.pop_front();
     if (!writers_.empty()) writers_.front()->cv.Signal();
     LSMIO_RETURN_IF_ERROR(s);
@@ -924,11 +877,9 @@ Status DBImpl::CompactFiles(const CompactionPick& pick,
                         },
                         background_->rate_limiter.get(), RateLimiter::Priority::kLow,
                         /*roll=*/true);
-  // Per-segment record bytes this compaction turned into garbage (entries
-  // dropped or relocated); applied to the value log's live accounting in
-  // the same install as the manifest record.
-  std::map<uint64_t, uint64_t> garbage;
-  bool relocated_any = false;
+  // Every dropped or kept entry passes through the value log's side of
+  // the compaction: garbage accounting and GC relocation.
+  ValueLog::Compaction blobs(vlog_.get(), gc_segments);
   Status s;
 
   // Pipeline stage 2 (consumer, this thread): drop logic + encode + write.
@@ -939,85 +890,44 @@ Status DBImpl::CompactFiles(const CompactionPick& pick,
 
   Slice key;
   Slice value;
-  std::string relocated_value;  // backing store when a pointer is rewritten
   while (s.ok() && source->Next(&key, &value)) {
     ParsedInternalKey ikey;
-    bool drop = false;
-    bool parsed_ok = ParseInternalKey(key, &ikey);
-    if (!parsed_ok) {
+    if (!ParseInternalKey(key, &ikey)) {
       // Corrupt key: keep it so the corruption stays visible.
       has_last_user_key = false;
       last_sequence_for_key = kMaxSequenceNumber;
-    } else {
-      if (!has_last_user_key ||
-          ucmp->Compare(ikey.user_key, Slice(last_user_key)) != 0) {
-        last_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_last_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-      }
-      if (last_sequence_for_key <= smallest_snapshot) {
-        drop = true;  // shadowed by a newer entry old enough for everyone
-      } else if (ikey.type == ValueType::kDeletion &&
-                 ikey.sequence <= smallest_snapshot && pick.bottommost) {
-        drop = true;  // tombstone with nothing underneath
-      }
-      last_sequence_for_key = ikey.sequence;
-    }
-
-    ValuePointer ptr;
-    const bool have_ptr = parsed_ok &&
-                          ikey.type == ValueType::kValuePointer &&
-                          DecodeValuePointer(value, &ptr);
-    if (drop) {
-      // The dropped entry's blob record just became garbage.
-      if (have_ptr) garbage[ptr.segment] += ptr.length;
+      s = out.Add(key, value);
       continue;
     }
-    if (have_ptr && std::find(gc_segments.begin(), gc_segments.end(), ptr.segment) !=
-                        gc_segments.end()) {
-      // GC relocation: copy the surviving value into the active segment
-      // and re-point this entry there — same internal key, so the entry's
-      // sequence (and therefore snapshot visibility) is untouched.
-      std::string blob_value;
-      Status rs = vlog_->ReadValue(ptr, ikey.user_key, &blob_value);
-      if (rs.ok()) {
-        ValuePointer new_ptr;
-        rs = vlog_->Append(ikey.user_key, Slice(blob_value),
-                           /*gc_rewrite=*/true, &new_ptr);
-        if (rs.ok()) {
-          garbage[ptr.segment] += ptr.length;
-          relocated_value.clear();
-          EncodeValuePointer(&relocated_value, new_ptr);
-          value = Slice(relocated_value);
-          relocated_any = true;
-        }
-      }
-      if (!rs.ok()) {
-        // Keep the old pointer: the value stays readable and the segment
-        // simply stays pinned until a later compaction succeeds.
-        LSMIO_WARN << "value-log GC relocation failed (segment "
-                   << ptr.segment << "): " << rs.ToString();
-      }
+    if (!has_last_user_key || ucmp->Compare(ikey.user_key, Slice(last_user_key)) != 0) {
+      last_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
+      has_last_user_key = true;
+      last_sequence_for_key = kMaxSequenceNumber;
     }
-    s = out.Add(key, value);
+    // Shadowed by a newer entry old enough for everyone, or a tombstone
+    // with nothing underneath.
+    const bool drop = last_sequence_for_key <= smallest_snapshot ||
+                      (ikey.type == ValueType::kDeletion &&
+                       ikey.sequence <= smallest_snapshot && pick.bottommost);
+    last_sequence_for_key = ikey.sequence;
+    if (drop) {
+      blobs.Drop(ikey, value);
+    } else {
+      s = out.Add(key, blobs.Keep(ikey, value));
+    }
   }
   if (s.ok()) s = source->status();
   if (s.ok()) s = out.Finish();
   const uint64_t pipeline_batches = source->batches();
   source.reset();  // joins the producer thread before `merged` dies
-
-  // Relocated blob records must be durable before outputs referencing them
-  // install: the old copies live in a segment that drains and gets deleted.
-  if (s.ok() && relocated_any) s = vlog_->Sync();
+  if (s.ok()) s = blobs.Sync();
 
   MutexLock lock(&mu_);
   stats_.compaction_pipeline_batches += pipeline_batches;
   if (!s.ok()) return s;
 
-  // Install: delete inputs, add outputs at output_level. The value log's
-  // live accounting is updated first so the manifest record written by
-  // LogAndApply snapshots the post-compaction per-segment live bytes.
-  if (vlog_ != nullptr && !garbage.empty()) vlog_->ApplyGarbage(garbage);
+  // Install: delete inputs, add outputs at output_level.
+  blobs.ApplyGarbage();
   for (const auto& f : out.outputs()) stats_.compaction_bytes_written += f.file_size;
   s = InstallTables(out, pick.output_level, deletions);
   if (s.ok()) {
@@ -1144,13 +1054,12 @@ Status DBImpl::Lookup(const ReadOptions& options, const ReadView& view,
   InlineVector<ValueLog::Request, 4> resolves;
   for (Version::GetRequest* req : reqs) {
     if (!req->is_pointer || !req->status->ok()) continue;
-    ValuePointer ptr;
-    if (vlog_ == nullptr || !DecodeValuePointer(Slice(*req->value), &ptr)) {
+    if (vlog_ == nullptr) {
       *req->status = Status::Corruption("unresolvable value-log pointer");
       continue;
     }
     resolves.push_back(
-        ValueLog::Request{ptr, req->lkey->user_key(), req->value, req->status});
+        ValueLog::Request{*req->value, req->lkey->user_key(), req->value, req->status});
   }
   if (!resolves.empty()) vlog_->ReadValues({resolves.data(), resolves.size()});
   return walk;
@@ -1260,27 +1169,6 @@ void DBImpl::ReleaseSnapshot(const Snapshot* snapshot) {
   delete impl;
 }
 
-namespace {
-
-template <StatKind K>
-void MergeStat(StatValue<K>& total, const StatValue<K>& shard) {
-  if constexpr (K == StatKind::kHistogram) {
-    total.Merge(shard);
-  } else if constexpr (K == StatKind::kCounter || K == StatKind::kGaugeSum) {
-    total += shard;
-  } else {
-    total = std::max(total, shard);
-  }
-}
-
-}  // namespace
-
-void DbStats::Merge(const DbStats& shard) {
-#define LSMIO_DB_STAT_MERGE(name, kind, help) MergeStat<StatKind::kind>(name, shard.name);
-  LSMIO_DB_STATS(LSMIO_DB_STAT_MERGE)
-#undef LSMIO_DB_STAT_MERGE
-}
-
 DbStats DBImpl::GetStats() const {
   MutexLock lock(&mu_);
   DbStats stats = stats_;
@@ -1320,69 +1208,6 @@ DbStats DBImpl::GetStats() const {
     stats.write_pool_budget_bytes = options_.write_memory_pool->Budget();
   }
   return stats;
-}
-
-// --- static entry points --------------------------------------------------------
-
-Status DB::Open(const Options& options, const std::string& name,
-                std::unique_ptr<DB>* dbptr) {
-  dbptr->reset();
-  vfs::Vfs& fs = options.vfs != nullptr ? *options.vfs : vfs::PosixVfs();
-  const int requested = std::max(1, options.num_shards);
-
-  // The SHARDS marker is the layout arbiter: a sharded store must be
-  // reopened with its recorded shard count, an unsharded store (plain
-  // CURRENT at the root, possibly predating sharding) only with
-  // num_shards=1. Mismatches fail instead of silently mis-routing keys.
-  int on_disk = 0;
-  const Status marker = ReadShardsMarker(fs, name, &on_disk);
-  if (marker.ok()) {
-    if (on_disk != requested) {
-      return Status::InvalidArgument(
-          name + " was created with num_shards=" + std::to_string(on_disk) +
-          "; reopening with num_shards=" + std::to_string(requested) +
-          " is not supported");
-    }
-    return ShardedDB::Open(options, name, /*exists=*/true, dbptr);
-  }
-  if (!marker.IsNotFound()) return marker;
-  if (requested > 1) {
-    if (fs.FileExists(CurrentFileName(name))) {
-      return Status::InvalidArgument(
-          name + " was created unsharded (num_shards=1); reopening with "
-          "num_shards=" + std::to_string(requested) + " is not supported");
-    }
-    return ShardedDB::Open(options, name, /*exists=*/false, dbptr);
-  }
-
-  auto impl = std::make_unique<DBImpl>(options, name);
-  LSMIO_RETURN_IF_ERROR(impl->Initialize());
-  *dbptr = std::move(impl);
-  return Status::OK();
-}
-
-Status DB::Destroy(const Options& options, const std::string& name) {
-  vfs::Vfs& fs = options.vfs != nullptr ? *options.vfs : vfs::PosixVfs();
-  int on_disk = 0;
-  if (ReadShardsMarker(fs, name, &on_disk).ok()) {
-    return ShardedDB::DestroyShards(options, name, on_disk);
-  }
-  std::vector<std::string> children;
-  Status s = fs.ListDir(name, &children);
-  if (!s.ok()) return Status::OK();  // nothing to destroy
-  // Keep removing past individual failures, but report the first one:
-  // a Destroy that leaves files behind and says OK would let a later
-  // Open resurrect a half-deleted store.
-  Status result = Status::OK();
-  for (const auto& child : children) {
-    uint64_t number;
-    FileType type;
-    if (ParseFileName(child, &number, &type) || child == "CURRENT.tmp") {
-      Status rm = fs.RemoveFile(name + "/" + child);
-      if (!rm.ok() && !rm.IsNotFound() && result.ok()) result = rm;
-    }
-  }
-  return result;
 }
 
 }  // namespace lsmio::lsm

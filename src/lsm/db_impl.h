@@ -72,8 +72,6 @@ class DBImpl final : public DB {
          Background* shared_background = nullptr);
   ~DBImpl() override;
 
-  Status Put(const WriteOptions& options, const Slice& key, const Slice& value) override;
-  Status Delete(const WriteOptions& options, const Slice& key) override;
   Status Write(const WriteOptions& options, WriteBatch* updates) override;
   Status Get(const ReadOptions& options, const Slice& key, std::string* value) override;
   Status MultiGet(const ReadOptions& options, std::span<const Slice> keys,
@@ -89,8 +87,7 @@ class DBImpl final : public DB {
   DbStats GetStats() const override;
 
  private:
-  friend class DB;
-  friend class ShardedDB;  // calls Initialize() on its sub-LSMs
+  friend class DB;  // DB::Open calls Initialize
   struct SnapshotImpl;
 
   /// One queued DB::Write (or memtable-switch request when batch == nullptr).
@@ -106,7 +103,9 @@ class DBImpl final : public DB {
 
   vfs::Vfs& fs() const;
 
-  Status Initialize() EXCLUDES(mu_);         // open/create + recover
+  /// Creates the store (`create`) or recovers it. DB::Open decides which,
+  /// under the store's existence rules.
+  Status Initialize(bool create) EXCLUDES(mu_);
   Status NewDb() REQUIRES(mu_);              // write fresh CURRENT/manifest
   Status RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence)
       REQUIRES(mu_);
@@ -150,16 +149,18 @@ class DBImpl final : public DB {
   /// May synchronously invoke victim callbacks (ours or other stores') —
   /// those only set flags and submit pool tasks, never take a DB mutex.
   void ReportPoolUsage(bool wrote) REQUIRES(mu_);
-  /// Victim callback invoked by the pool (pool mutex held, no DB mutex),
-  /// and by a leader that ends its group with the request still pending
-  /// (mu_ held). Non-blocking: flags a switch for the next group-commit
-  /// leader and schedules ArbiterFlushCall for stores with no writer in
-  /// flight.
+  /// Victim callback invoked by the pool (pool mutex held, no DB mutex).
+  /// Non-blocking: flags the request and schedules ArbiterFlushCall.
   void RequestArbiterFlush();
-  /// Background half of the victim protocol: switches an idle store's
-  /// memtable (an empty writer queue under mu_ gives leader-grade
-  /// exclusivity) or falls back to scheduling/deferring.
+  /// Background half of the victim protocol: serves the request when no
+  /// writer is queued; otherwise the front serves it when it finishes.
   void ArbiterFlushCall() EXCLUDES(mu_);
+  /// The one rule for a pending victim request, run by the writers_ front
+  /// as it finishes (a write group or a barrier's switch) and by
+  /// ArbiterFlushCall on a store with no writer queued: switches the
+  /// memtable, or drops the request when the active memtable is empty, the
+  /// immutable queue is full or L0 sits at the stop trigger.
+  void ServeArbiterRequest() REQUIRES(mu_);
 
   void MaybeScheduleFlush() REQUIRES(mu_);
   void MaybeScheduleCompaction() REQUIRES(mu_);
@@ -306,8 +307,7 @@ class DBImpl final : public DB {
   /// Pool attachment id; 0 = not attached. unguarded: set once in
   /// Initialize before concurrent access, cleared only by the destructor.
   uint64_t pool_attachment_ = 0;
-  /// Set by the pool's victim callback; honoured by the group-commit
-  /// leader in MakeRoomForWrite or by ArbiterFlushCall on idle stores, and
+  /// Set by the pool's victim callback; taken by ServeArbiterRequest, and
   /// cleared by every SwitchMemTable, whatever its cause.
   std::atomic<bool> arbiter_switch_requested_{false};
   /// True while an ArbiterFlushCall is queued/running on the flush pool; the

@@ -41,12 +41,9 @@ class DBIter final : public Iterator {
     // never pay the blob read.
     if (!resolved_) {
       resolved_ = true;
-      ValuePointer ptr;
-      if (vlog_ == nullptr || !DecodeValuePointer(raw, &ptr)) {
-        resolve_status_ = Status::Corruption("unresolvable value pointer");
-      } else {
-        resolve_status_ = vlog_->ReadValue(ptr, key(), &resolved_value_);
-      }
+      resolve_status_ = vlog_ == nullptr
+                            ? Status::Corruption("unresolvable value-log pointer")
+                            : vlog_->ReadValue(raw, key(), &resolved_value_);
       if (!resolve_status_.ok() && status_.ok()) status_ = resolve_status_;
     }
     return resolve_status_.ok() ? Slice(resolved_value_) : Slice();

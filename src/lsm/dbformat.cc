@@ -34,8 +34,6 @@ std::string ManifestFileName(const std::string& dbname, uint64_t number) {
 
 std::string CurrentFileName(const std::string& dbname) { return dbname + "/CURRENT"; }
 
-std::string LockFileName(const std::string& dbname) { return dbname + "/LOCK"; }
-
 bool ParseFileName(const std::string& name, uint64_t* number, FileType* type) {
   if (name == "CURRENT") {
     *number = 0;

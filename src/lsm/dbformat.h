@@ -168,7 +168,6 @@ std::string LogFileName(const std::string& dbname, uint64_t number);
 std::string BlobFileName(const std::string& dbname, uint64_t number);
 std::string ManifestFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
-std::string LockFileName(const std::string& dbname);
 
 /// Parses a file name (no directory) into its number and type.
 enum class FileType { kTableFile, kLogFile, kBlobFile, kManifestFile, kCurrentFile, kLockFile, kUnknown };

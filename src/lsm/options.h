@@ -15,7 +15,6 @@ class Vfs;
 
 namespace lsmio::lsm {
 
-class Comparator;
 class FilterPolicy;
 class Cache;
 class WriteMemoryPool;
@@ -29,10 +28,6 @@ enum class CompressionType : uint8_t {
 struct Options {
   /// File system the DB lives on. If null, the process PosixVfs is used.
   vfs::Vfs* vfs = nullptr;
-
-  /// Comparator for user keys; defaults to bytewise. Must outlive the DB and
-  /// be identical across re-opens.
-  const Comparator* comparator = nullptr;
 
   /// Create the database if missing.
   bool create_if_missing = true;

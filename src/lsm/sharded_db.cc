@@ -1,13 +1,14 @@
 #include "lsm/sharded_db.h"
 
 #include <algorithm>
-#include <cinttypes>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/hash.h"
-#include "common/logging.h"
 #include "lsm/comparator.h"
 #include "lsm/merger.h"
 #include "vfs/posix_vfs.h"
@@ -21,12 +22,50 @@ namespace {
 // comparator).
 constexpr uint64_t kShardHashSeed = 0x73686172644c534dULL;  // "shardLSM"
 
-constexpr char kMarkerMagic[] = "lsmio-shards-v1";
+constexpr std::string_view kMarkerMagic = "lsmio-shards-v1 ";
 
 Status SnapshotSequenceUnsupported() {
   return Status::InvalidArgument(
       "ReadOptions::snapshot_sequence is a per-shard sequence and cannot be "
       "used on a sharded store; use GetSnapshot instead");
+}
+
+vfs::Vfs& FsOf(const Options& options) {
+  return options.vfs != nullptr ? *options.vfs : vfs::PosixVfs();
+}
+
+/// Reads the SHARDS marker: exactly "lsmio-shards-v1 N\n" with 2 <= N <=
+/// INT_MAX in decimal. NotFound when the store is not sharded (or does not
+/// exist); Corruption for anything else.
+Status ReadShardsMarker(vfs::Vfs& fs, const std::string& dbname, int* num_shards) {
+  std::string contents;
+  LSMIO_RETURN_IF_ERROR(vfs::ReadFileToString(fs, ShardsMarkerFileName(dbname), &contents));
+  const std::string_view text(contents);
+  const char* const digits = text.data() + std::min(kMarkerMagic.size(), text.size());
+  const char* const end = text.data() + text.size();
+  int n = 0;
+  const auto [last, error] = std::from_chars(digits, end, n);
+  if (!text.starts_with(kMarkerMagic) || error != std::errc() || n < 2 ||
+      std::string_view(last, static_cast<size_t>(end - last)) != "\n") {
+    return Status::Corruption("unparseable SHARDS marker in " + dbname);
+  }
+  *num_shards = n;
+  return Status::OK();
+}
+
+/// Directory of shard `shard` of the store at `dbname`.
+std::string ShardDirName(const std::string& dbname, int shard) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "shard-%03d", shard);
+  return dbname + "/" + buf;
+}
+
+/// True for a shard directory name, "shard-" followed by digits.
+bool IsShardDirName(const std::string& name) {
+  constexpr std::string_view kPrefix = "shard-";
+  return name.size() > kPrefix.size() && name.starts_with(kPrefix) &&
+         std::all_of(name.begin() + kPrefix.size(), name.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
 }
 
 }  // namespace
@@ -35,153 +74,165 @@ std::string ShardsMarkerFileName(const std::string& dbname) {
   return dbname + "/SHARDS";
 }
 
-std::string ShardDirName(const std::string& dbname, int shard) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "shard-%03d", shard);
-  return dbname + "/" + buf;
-}
+// --- the store layout -----------------------------------------------------------
 
-Status ReadShardsMarker(vfs::Vfs& fs, const std::string& dbname,
-                        int* num_shards) {
-  std::string contents;
-  const Status s = vfs::ReadFileToString(fs, ShardsMarkerFileName(dbname),
-                                         &contents);
-  if (s.IsNotFound()) return s;
-  LSMIO_RETURN_IF_ERROR(s);
-  char magic[32] = {};
-  int n = 0;
-  if (std::sscanf(contents.c_str(), "%31s %d", magic, &n) != 2 ||
-      std::string(magic) != kMarkerMagic || n < 1) {
-    return Status::Corruption("unparseable SHARDS marker: " + contents);
-  }
-  *num_shards = n;
-  return Status::OK();
-}
+Status DB::Open(const Options& options, const std::string& name,
+                std::unique_ptr<DB>* dbptr) {
+  dbptr->reset();
+  vfs::Vfs& fs = FsOf(options);
+  const int requested = std::max(1, options.num_shards);
 
-struct ShardedDB::ShardedSnapshot final : Snapshot {
-  std::vector<const Snapshot*> per_shard;  // index = shard
-};
-
-ShardedDB::ShardedDB(const Options& options, const std::string& name)
-    : options_(options),
-      dbname_(name),
-      user_comparator_(options.comparator != nullptr ? options.comparator
-                                                     : BytewiseComparator()),
-      background_(options) {}
-
-// Shards drain their background work in their destructors; background_
-// outlives them (see member order).
-ShardedDB::~ShardedDB() = default;
-
-vfs::Vfs& ShardedDB::fs() const {
-  return options_.vfs != nullptr ? *options_.vfs : vfs::PosixVfs();
-}
-
-size_t ShardedDB::ShardOf(const Slice& key) const {
-  return static_cast<size_t>(Hash64(key.data(), key.size(), kShardHashSeed) %
-                             shards_.size());
-}
-
-Status ShardedDB::Open(const Options& options, const std::string& name,
-                       bool exists, std::unique_ptr<DB>* dbptr) {
-  const int n = options.num_shards;
-  if (n < 2) {
-    return Status::InvalidArgument("ShardedDB requires num_shards > 1");
-  }
-  vfs::Vfs& fs = options.vfs != nullptr ? *options.vfs : vfs::PosixVfs();
-
+  // The SHARDS marker is the layout arbiter: a sharded store must be
+  // reopened with its recorded shard count, an unsharded store (plain
+  // CURRENT at the root, possibly predating sharding) only with
+  // num_shards=1. Mismatches fail instead of silently mis-routing keys.
+  int on_disk = 1;
+  const Status marker = ReadShardsMarker(fs, name, &on_disk);
+  if (!marker.ok() && !marker.IsNotFound()) return marker;
+  const bool exists = marker.ok() || fs.FileExists(CurrentFileName(name));
   if (!exists) {
-    if (options.read_only) {
-      return Status::NotFound(name + " does not exist (read_only open)");
-    }
+    if (options.read_only) return Status::NotFound(name + " does not exist (read_only open)");
     if (!options.create_if_missing) {
-      return Status::InvalidArgument(
-          name + " does not exist (create_if_missing=false)");
+      return Status::InvalidArgument(name + " does not exist (create_if_missing=false)");
     }
+  } else if (options.error_if_exists) {
+    return Status::InvalidArgument(name + " exists (error_if_exists=true)");
+  } else if (on_disk != requested) {
+    return Status::InvalidArgument(name + " was created with num_shards=" +
+                                   std::to_string(on_disk) + "; reopening with num_shards=" +
+                                   std::to_string(requested) + " is not supported");
+  }
+
+  if (requested == 1) {
+    auto impl = std::make_unique<DBImpl>(options, name);
+    LSMIO_RETURN_IF_ERROR(impl->Initialize(/*create=*/!exists));
+    *dbptr = std::move(impl);
+    return Status::OK();
+  }
+  if (!exists) {
     LSMIO_RETURN_IF_ERROR(fs.CreateDir(name));
     // WriteStringToFile syncs before close, so the marker (the commit
     // point of the sharded layout) survives a crash right after creation.
     LSMIO_RETURN_IF_ERROR(vfs::WriteStringToFile(
         fs, ShardsMarkerFileName(name),
-        std::string(kMarkerMagic) + " " + std::to_string(n) + "\n"));
-  } else if (options.error_if_exists) {
-    return Status::InvalidArgument(name + " exists (error_if_exists=true)");
+        std::string(kMarkerMagic) + std::to_string(requested) + "\n"));
   }
-
-  std::unique_ptr<ShardedDB> db(new ShardedDB(options, name));
-  for (int shard = 0; shard < n; ++shard) {
+  std::unique_ptr<ShardedDB> db(new ShardedDB(options));
+  for (int shard = 0; shard < requested; ++shard) {
     Options shard_options = options;
     shard_options.num_shards = 1;
-    // The marker above already arbitrated existence for the whole store.
-    shard_options.error_if_exists = false;
-    shard_options.create_if_missing = !options.read_only;
-    auto impl = std::make_unique<DBImpl>(shard_options, ShardDirName(name, shard),
-                                         &db->background_);
-    LSMIO_RETURN_IF_ERROR(impl->Initialize());
+    const std::string dir = ShardDirName(name, shard);
+    // A shard missing from a writable store is created afresh.
+    const bool create = !options.read_only && !fs.FileExists(CurrentFileName(dir));
+    auto impl = std::make_unique<DBImpl>(shard_options, dir, &db->background_);
+    LSMIO_RETURN_IF_ERROR(impl->Initialize(create));
     db->shards_.push_back(std::move(impl));
   }
   *dbptr = std::move(db);
   return Status::OK();
 }
 
-Status ShardedDB::DestroyShards(const Options& options, const std::string& name,
-                                int num_shards) {
-  vfs::Vfs& fs = options.vfs != nullptr ? *options.vfs : vfs::PosixVfs();
-  for (int shard = 0; shard < num_shards; ++shard) {
-    // Shard directories carry no SHARDS marker, so this takes the plain
-    // single-LSM removal path.
-    LSMIO_RETURN_IF_ERROR(DB::Destroy(options, ShardDirName(name, shard)));
+Status DB::Destroy(const Options& options, const std::string& name) {
+  vfs::Vfs& fs = FsOf(options);
+  std::vector<std::string> children;
+  if (!fs.ListDir(name, &children).ok()) return Status::OK();  // nothing to destroy
+  // Keep removing past individual failures, but report the first one:
+  // a Destroy that leaves files behind and says OK would let a later
+  // Open resurrect a half-deleted store.
+  Status result;
+  const auto record = [&result](const Status& s) {
+    if (!s.ok() && !s.IsNotFound() && result.ok()) result = s;
+  };
+  bool sharded = false;
+  for (const std::string& child : children) {
+    const std::string path = name + "/" + child;
+    uint64_t number;
+    FileType type;
+    if (IsShardDirName(child)) {
+      // The shards the listing finds, whatever the marker claims.
+      record(Destroy(options, path));
+    } else if (path == ShardsMarkerFileName(name)) {
+      sharded = true;
+    } else if (ParseFileName(child, &number, &type) || child == "CURRENT.tmp") {
+      record(fs.RemoveFile(path));
+    }
   }
-  // A marker that survives its shards would make the next Open look for
-  // stores that no longer exist — surface the failure (NotFound is fine:
-  // Destroy is idempotent).
-  Status s = fs.RemoveFile(ShardsMarkerFileName(name));
-  if (!s.ok() && !s.IsNotFound()) return s;
-  return Status::OK();
+  // The marker goes last, and only once every shard is gone: a marker
+  // that survives its shards keeps the next Destroy looking for them.
+  if (sharded && result.ok()) record(fs.RemoveFile(ShardsMarkerFileName(name)));
+  return result;
+}
+
+namespace {
+
+template <StatKind K>
+void MergeStat(StatValue<K>& total, const StatValue<K>& shard) {
+  if constexpr (K == StatKind::kHistogram) {
+    total.Merge(shard);
+  } else if constexpr (K == StatKind::kCounter || K == StatKind::kGaugeSum) {
+    total += shard;
+  } else {
+    total = std::max(total, shard);
+  }
+}
+
+}  // namespace
+
+void DbStats::Merge(const DbStats& shard) {
+#define LSMIO_DB_STAT_MERGE(name, kind, help) MergeStat<StatKind::kind>(name, shard.name);
+  LSMIO_DB_STATS(LSMIO_DB_STAT_MERGE)
+#undef LSMIO_DB_STAT_MERGE
+}
+
+// --- ShardedDB ------------------------------------------------------------------
+
+struct ShardedDB::ShardedSnapshot final : Snapshot {
+  std::vector<const Snapshot*> per_shard;  // index = shard
+};
+
+ShardedDB::ShardedDB(const Options& options) : options_(options), background_(options) {}
+
+// Shards drain their background work in their destructors; background_
+// outlives them (see member order).
+ShardedDB::~ShardedDB() = default;
+
+size_t ShardedDB::ShardOf(const Slice& key) const {
+  return static_cast<size_t>(Hash64(key.data(), key.size(), kShardHashSeed) %
+                             shards_.size());
 }
 
 // --- writes -------------------------------------------------------------------
-
-Status ShardedDB::Put(const WriteOptions& options, const Slice& key,
-                      const Slice& value) {
-  return shards_[ShardOf(key)]->Put(options, key, value);
-}
-
-Status ShardedDB::Delete(const WriteOptions& options, const Slice& key) {
-  return shards_[ShardOf(key)]->Delete(options, key);
-}
 
 Status ShardedDB::Write(const WriteOptions& options, WriteBatch* updates) {
   if (updates == nullptr) {
     return Status::InvalidArgument("null batch");
   }
 
-  // Pass 1 (no copies): which shards does the batch touch? Single-shard
-  // batches — the common case for checkpoint streams, and all Put/Delete
-  // calls — forward the caller's batch untouched, preserving the exact
-  // single-LSM code path including its sequence stamping.
-  std::vector<uint8_t> touched(shards_.size(), 0);
-  size_t distinct = 0;
-  size_t only = 0;
+  // Pass 1 (no copies, no allocation): does the batch touch one shard?
+  // Single-shard batches — the common case for checkpoint streams, and
+  // every Put and Delete — forward the caller's batch untouched, preserving
+  // the exact single-LSM code path including its sequence stamping.
+  constexpr size_t kNone = SIZE_MAX;
+  size_t only = kNone;
+  bool split = false;
   WriteBatch::Op op;
   WriteBatch::Reader reader(*updates);
-  while (reader.Next(&op)) {
+  while (!split && reader.Next(&op)) {
     const size_t shard = ShardOf(op.key);
-    if (touched[shard] == 0) {
-      touched[shard] = 1;
-      ++distinct;
-      only = shard;
-    }
+    split = only != kNone && shard != only;
+    only = shard;
   }
   LSMIO_RETURN_IF_ERROR(reader.status());
-  if (distinct == 0) return Status::OK();
-  if (distinct == 1) return shards_[only]->Write(options, updates);
+  if (only == kNone) return Status::OK();
+  if (!split) return shards_[only]->Write(options, updates);
 
   // Pass 2: split into per-shard sub-batches and apply each to its shard.
   // Atomicity holds within each shard (one WAL record per sub-batch), not
   // across shards — see the class comment.
   std::vector<WriteBatch> sub(shards_.size());
-  for (WriteBatch::Reader split(*updates); split.Next(&op);) sub[ShardOf(op.key)].Add(op);
+  WriteBatch::Reader all(*updates);
+  while (all.Next(&op)) sub[ShardOf(op.key)].Add(op);
+  LSMIO_RETURN_IF_ERROR(all.status());
 
   Status first_error;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -247,7 +298,7 @@ Iterator* ShardedDB::NewIterator(const ReadOptions& options) {
   for (const auto& shard : shards_) {
     children.push_back(shard->NewIterator(options));
   }
-  return NewMergingIterator(user_comparator_, children.data(),
+  return NewMergingIterator(BytewiseComparator(), children.data(),
                             static_cast<int>(children.size()));
 }
 

@@ -19,6 +19,8 @@
 // The shard count is fixed at creation (recorded in SHARDS); reopening
 // with a different num_shards fails with InvalidArgument, in both
 // directions — including opening a pre-sharding store with num_shards > 1.
+// This file alone knows the layout: DB::Open and DB::Destroy (defined in
+// sharded_db.cc) read and write it for both sharded and unsharded stores.
 //
 // Caveats vs a single DBImpl: a WriteBatch spanning shards is atomic per
 // shard but not across shards, and raw ReadOptions::snapshot_sequence
@@ -38,31 +40,10 @@ namespace lsmio::lsm {
 /// Path of the shard-layout marker file for the store at `dbname`.
 std::string ShardsMarkerFileName(const std::string& dbname);
 
-/// Directory of shard `shard` of the store at `dbname`.
-std::string ShardDirName(const std::string& dbname, int shard);
-
-/// Reads the SHARDS marker. NotFound when the store is not sharded (or
-/// does not exist); Corruption when the marker cannot be parsed.
-Status ReadShardsMarker(vfs::Vfs& fs, const std::string& dbname,
-                        int* num_shards);
-
 class ShardedDB final : public DB {
  public:
-  /// Opens/creates the sharded store; options.num_shards must be > 1.
-  /// `exists`: DB::Open found the SHARDS marker and checked its shard count
-  /// against options.num_shards.
-  static Status Open(const Options& options, const std::string& name,
-                     bool exists, std::unique_ptr<DB>* dbptr);
-
-  /// Removes every shard's files plus the SHARDS marker.
-  static Status DestroyShards(const Options& options, const std::string& name,
-                              int num_shards);
-
   ~ShardedDB() override;
 
-  Status Put(const WriteOptions& options, const Slice& key,
-             const Slice& value) override;
-  Status Delete(const WriteOptions& options, const Slice& key) override;
   Status Write(const WriteOptions& options, WriteBatch* updates) override;
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value) override;
@@ -80,16 +61,14 @@ class ShardedDB final : public DB {
   void GetShardStats(std::vector<DbStats>* out) const override;
 
  private:
+  friend class DB;  // DB::Open creates the shards
   struct ShardedSnapshot;
 
-  ShardedDB(const Options& options, const std::string& name);
+  explicit ShardedDB(const Options& options);
 
   [[nodiscard]] size_t ShardOf(const Slice& key) const;
-  [[nodiscard]] vfs::Vfs& fs() const;
 
   Options options_;
-  std::string dbname_;
-  const Comparator* user_comparator_;
 
   // Destruction order (reverse of declaration): shards_ first — each
   // shard's destructor drains its background work, which needs the pools

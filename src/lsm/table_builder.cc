@@ -196,7 +196,6 @@ void TableBuilder::Abandon() {
 }
 
 Status TableBuilder::status() const { return rep_->status; }
-uint64_t TableBuilder::NumEntries() const { return rep_->num_entries; }
 uint64_t TableBuilder::FileSize() const { return rep_->offset; }
 
 }  // namespace lsmio::lsm

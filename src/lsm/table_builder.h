@@ -43,7 +43,6 @@ class TableBuilder {
   void Abandon();
 
   [[nodiscard]] Status status() const;
-  [[nodiscard]] uint64_t NumEntries() const;
   /// File bytes written so far.
   [[nodiscard]] uint64_t FileSize() const;
 

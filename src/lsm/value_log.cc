@@ -4,6 +4,8 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/inline_vector.h"
+#include "common/logging.h"
 #include "lsm/dbformat.h"
 #include "lsm/write_batch.h"
 #include "vfs/vfs.h"
@@ -160,6 +162,9 @@ Status ValueLog::RotateLocked() {
   if (s.ok()) s = active_file_->Close();
   active_file_.reset();
   if (!s.ok()) io_error_ = s;
+  // A read handle opened while the segment grew maps only a prefix of it
+  // (reads past that prefix fall back to pread); the next read maps it all.
+  handles_->Erase(SegmentKey(active_number_));
   return s;
 }
 
@@ -266,24 +271,36 @@ Status ValueLog::FindSegment(uint64_t segment, Cache::Handle** handle) const {
   return Status::OK();
 }
 
-void ValueLog::ReadValues(std::span<Request> reqs) const {
-  std::sort(reqs.begin(), reqs.end(), [](const Request& a, const Request& b) {
+void ValueLog::ReadValues(std::span<const Request> reqs) const {
+  // Decode every pointer first: a caller's pointer may live in the string
+  // that receives its value.
+  struct Located {
+    ValuePointer ptr;
+    const Request* req;
+  };
+  InlineVector<Located, 4> located;
+  for (const Request& req : reqs) {
+    Located at{{}, &req};
+    if (!DecodeValuePointer(req.pointer, &at.ptr)) {
+      *req.status = Status::Corruption("unresolvable value-log pointer");
+    } else if (!PointerInRange(at.ptr)) {
+      *req.status = Status::Corruption("blob pointer out of range");
+    } else {
+      located.push_back(at);
+    }
+  }
+  std::sort(located.begin(), located.end(), [](const Located& a, const Located& b) {
     if (a.ptr.segment != b.ptr.segment) return a.ptr.segment < b.ptr.segment;
     return a.ptr.offset < b.ptr.offset;
   });
   std::string buffer;
-  for (size_t i = 0; i < reqs.size();) {
-    const ValuePointer& first = reqs[i].ptr;
-    if (!PointerInRange(first)) {
-      *reqs[i++].status = Status::Corruption("blob pointer out of range");
-      continue;
-    }
+  for (size_t i = 0; i < located.size();) {
+    const ValuePointer& first = located[i].ptr;
     uint64_t end = first.offset + first.length;
     size_t k = i + 1;
-    for (; k < reqs.size(); ++k) {
-      const ValuePointer& next = reqs[k].ptr;
+    for (; k < located.size(); ++k) {
+      const ValuePointer& next = located[k].ptr;
       if (next.segment != first.segment || next.offset > end ||
-          !PointerInRange(next) ||
           std::max(end, next.offset + next.length) - first.offset > kMaxRunBytes) {
         break;
       }
@@ -292,22 +309,26 @@ void ValueLog::ReadValues(std::span<Request> reqs) const {
     Cache::Handle* handle = nullptr;
     Slice run;
     Status s = FindSegment(first.segment, &handle);
+    if (s.IsNotFound()) {
+      // Segments are deleted only once no reachable pointer names them.
+      s = Status::Corruption("blob segment missing: " + BlobFileName(dbname_, first.segment));
+    }
     if (s.ok()) {
       s = static_cast<vfs::RandomAccessFile*>(handles_->Value(handle))
               ->Read(first.offset, static_cast<size_t>(end - first.offset), &run, &buffer);
     }
     for (; i < k; ++i) {
-      const Request& req = reqs[i];
-      const uint64_t at = req.ptr.offset - first.offset;
+      const ValuePointer& ptr = located[i].ptr;
+      const Request& req = *located[i].req;
+      const uint64_t at = ptr.offset - first.offset;
       Slice value;
       Status rs = s;
       if (rs.ok()) {
         // A run can end short at the segment's end; only records it holds
         // whole resolve.
-        rs = at + req.ptr.length > run.size()
+        rs = at + ptr.length > run.size()
                  ? Status::Corruption("blob record truncated")
-                 : ParseRecord(Slice(run.data() + at, req.ptr.length), req.user_key,
-                               &value);
+                 : ParseRecord(Slice(run.data() + at, ptr.length), req.user_key, &value);
       }
       if (rs.ok() && req.value != nullptr) req.value->assign(value.data(), value.size());
       *req.status = rs;
@@ -317,12 +338,19 @@ void ValueLog::ReadValues(std::span<Request> reqs) const {
   }
 }
 
-Status ValueLog::ReadValue(const ValuePointer& ptr, const Slice& user_key,
+Status ValueLog::ReadValue(const Slice& pointer, const Slice& user_key,
                            std::string* value) const {
   Status s;
-  Request req{ptr, user_key, value, &s};
+  const Request req{pointer, user_key, value, &s};
   ReadValues({&req, 1});
   return s;
+}
+
+bool ValueLog::PointerSegment(const Slice& pointer, uint64_t* segment) {
+  ValuePointer ptr;
+  if (!DecodeValuePointer(pointer, &ptr)) return false;
+  *segment = ptr.segment;
+  return true;
 }
 
 bool ValueLog::Contains(uint64_t segment) const {
@@ -330,11 +358,47 @@ bool ValueLog::Contains(uint64_t segment) const {
   return segments_.count(segment) != 0;
 }
 
-void ValueLog::ApplyGarbage(const std::map<uint64_t, uint64_t>& garbage) {
-  MutexLock lock(&mu_);
-  for (const auto& [number, bytes] : garbage) {
-    auto it = segments_.find(number);
-    if (it == segments_.end()) continue;
+ValueLog::Compaction::Compaction(ValueLog* vlog, std::vector<uint64_t> gc_segments)
+    : vlog_(vlog), gc_segments_(std::move(gc_segments)) {}
+
+void ValueLog::Compaction::Drop(const ParsedInternalKey& ikey, const Slice& value) {
+  ValuePointer ptr;
+  if (vlog_ != nullptr && ikey.type == ValueType::kValuePointer &&
+      DecodeValuePointer(value, &ptr)) {
+    garbage_[ptr.segment] += ptr.length;
+  }
+}
+
+Slice ValueLog::Compaction::Keep(const ParsedInternalKey& ikey, const Slice& value) {
+  ValuePointer ptr;
+  if (vlog_ == nullptr || ikey.type != ValueType::kValuePointer ||
+      !DecodeValuePointer(value, &ptr) ||
+      std::find(gc_segments_.begin(), gc_segments_.end(), ptr.segment) == gc_segments_.end()) {
+    return value;
+  }
+  ValuePointer moved;
+  Status s = vlog_->ReadValue(value, ikey.user_key, &blob_value_);
+  if (s.ok()) s = vlog_->Append(ikey.user_key, blob_value_, /*gc_rewrite=*/true, &moved);
+  if (!s.ok()) {
+    LSMIO_WARN << "value-log GC relocation failed (segment " << ptr.segment
+               << "): " << s.ToString();
+    return value;
+  }
+  garbage_[ptr.segment] += ptr.length;
+  relocated_ = true;
+  pointer_.clear();
+  EncodeValuePointer(&pointer_, moved);
+  return pointer_;
+}
+
+Status ValueLog::Compaction::Sync() { return relocated_ ? vlog_->Sync() : Status::OK(); }
+
+void ValueLog::Compaction::ApplyGarbage() {
+  if (garbage_.empty()) return;
+  MutexLock lock(&vlog_->mu_);
+  for (const auto& [number, bytes] : garbage_) {
+    auto it = vlog_->segments_.find(number);
+    if (it == vlog_->segments_.end()) continue;
     it->second.live = it->second.live >= bytes ? it->second.live - bytes : 0;
   }
 }

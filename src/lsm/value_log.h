@@ -44,6 +44,7 @@
 #include "common/synchronization.h"
 #include "lsm/cache.h"
 #include "lsm/db.h"
+#include "lsm/dbformat.h"
 #include "lsm/options.h"
 
 namespace lsmio::vfs {
@@ -62,7 +63,8 @@ struct ValuePointer {
 };
 
 /// Pointer encoding stored as the entry value under a kValuePointer tag:
-/// varint64 segment | varint64 offset | varint64 length.
+/// varint64 segment | varint64 offset | varint64 length. ValueLog owns the
+/// format: every other module hands it the encoded pointer.
 void EncodeValuePointer(std::string* dst, const ValuePointer& ptr);
 /// Decodes a pointer; requires the input to be exactly one pointer.
 bool DecodeValuePointer(Slice input, ValuePointer* ptr);
@@ -114,36 +116,73 @@ class ValueLog {
 
   // --- read path -----------------------------------------------------------
 
-  /// One pointer to resolve: the user key it is stored under, and where
-  /// the value (when `value` is not null) and the outcome go.
+  /// One pointer to resolve: the encoded pointer, the user key it is
+  /// stored under, and where the value (when `value` is not null) and the
+  /// outcome go. `pointer` may live in *value.
   struct Request {
-    ValuePointer ptr;
+    Slice pointer;
     Slice user_key;
     std::string* value = nullptr;
     Status* status = nullptr;
   };
 
-  /// Resolves `reqs` in (segment, offset) order, sorting them. A record
-  /// joins the current run when it starts at or before the run's end and
-  /// the run stays within 1 MiB; each run is one VFS read, and each record
-  /// is verified from the shared buffer: its checksum, its framing, and
-  /// that it was written for `user_key` (Corruption otherwise). WAL replay
-  /// uses the key check to drop pointers whose blob bytes did not survive a
-  /// crash (only unacknowledged writes can be in that state).
-  void ReadValues(std::span<Request> reqs) const;
+  /// Decodes every pointer of `reqs` before writing any value, then
+  /// resolves them in (segment, offset) order. A record joins the current
+  /// run when it starts at or before the run's end and the run stays within
+  /// 1 MiB; each run is one VFS read, and each record is verified from the
+  /// shared buffer: its checksum, its framing, and that it was written for
+  /// `user_key`. A pointer that does not decode, or a record that fails a
+  /// check, is Corruption. WAL replay uses the key check to drop pointers
+  /// whose blob bytes did not survive a crash (only unacknowledged writes
+  /// can be in that state).
+  void ReadValues(std::span<const Request> reqs) const;
   /// ReadValues for one pointer.
-  Status ReadValue(const ValuePointer& ptr, const Slice& user_key,
+  Status ReadValue(const Slice& pointer, const Slice& user_key,
                    std::string* value) const;
+
+  /// The blob segment an encoded pointer names; false when `pointer` does
+  /// not decode.
+  static bool PointerSegment(const Slice& pointer, uint64_t* segment);
 
   // --- accounting & GC -----------------------------------------------------
 
   /// True if `segment` is registered (RemoveObsoleteFiles keeps such files).
   [[nodiscard]] bool Contains(uint64_t segment) const EXCLUDES(mu_);
 
-  /// Applies per-segment garbage byte deltas (entries dropped or relocated
-  /// by a compaction). Called under the DB mutex right before the manifest
-  /// record of the same install is written.
-  void ApplyGarbage(const std::map<uint64_t, uint64_t>& garbage) EXCLUDES(mu_);
+  /// One compaction's side of the value log. The compaction hands it each
+  /// entry it drops or keeps: a dropped pointer's record becomes garbage,
+  /// and a kept pointer into a GC segment is relocated. With a null value
+  /// log every call is a no-op.
+  class Compaction {
+   public:
+    /// `gc_segments`: the segments whose live records are relocated.
+    Compaction(ValueLog* vlog, std::vector<uint64_t> gc_segments);
+
+    /// The compaction drops the entry.
+    void Drop(const ParsedInternalKey& ikey, const Slice& value);
+    /// The compaction keeps the entry; returns the value to write. A
+    /// pointer into a GC segment has its record copied to the active
+    /// segment, and the new pointer is returned under the same internal
+    /// key, so snapshot visibility is unchanged; it stays valid until the
+    /// next call. If the copy fails, the old pointer is kept and the
+    /// segment stays pinned until a later compaction.
+    Slice Keep(const ParsedInternalKey& ikey, const Slice& value);
+    /// Makes relocated records durable: their old copies live in segments
+    /// that drain and get deleted. Call before installing the outputs.
+    Status Sync();
+    /// Charges the dropped and relocated records to their segments' live
+    /// bytes. Call under the DB mutex right before the manifest record of
+    /// the install, which snapshots the per-segment live bytes.
+    void ApplyGarbage();
+
+   private:
+    ValueLog* const vlog_;
+    const std::vector<uint64_t> gc_segments_;
+    std::map<uint64_t, uint64_t> garbage_;  // segment -> record bytes
+    bool relocated_ = false;
+    std::string blob_value_;  // a relocated record's value
+    std::string pointer_;     // Keep's rewritten pointer
+  };
 
   /// Sealed-segment GC candidates: not active, live > 0, garbage ratio at
   /// least Options::value_log_gc_garbage_ratio.

@@ -99,13 +99,10 @@ Status WriteBatch::InsertInto(MemTable* mem, const ValueLog* replay_vlog,
   Reader reader(*this);
   Op op;
   for (; reader.Next(&op); ++sequence) {
-    if (op.type == ValueType::kValuePointer && replay_vlog != nullptr) {
-      ValuePointer ptr;
-      if (!DecodeValuePointer(op.value, &ptr) ||
-          !replay_vlog->ReadValue(ptr, op.key, /*value=*/nullptr).ok()) {
-        ++dropped;
-        continue;
-      }
+    if (op.type == ValueType::kValuePointer && replay_vlog != nullptr &&
+        !replay_vlog->ReadValue(op.value, op.key, /*value=*/nullptr).ok()) {
+      ++dropped;
+      continue;
     }
     mem->Add(sequence, op.type, op.key, op.value);
     ++(op.type == ValueType::kDeletion ? counts.deletes : counts.puts);

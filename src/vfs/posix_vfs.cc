@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -101,24 +102,34 @@ class PosixWritableFile final : public WritableFile {
 class PosixRandomAccessFile final : public RandomAccessFile {
  public:
   PosixRandomAccessFile(int fd, uint64_t size, void* map)
-      : fd_(fd), size_(size), map_(map) {}
+      : fd_(fd), map_size_(map != nullptr ? size : 0), size_(size), map_(map) {}
   ~PosixRandomAccessFile() override {
-    if (map_ != nullptr) ::munmap(map_, size_);
+    if (map_ != nullptr) ::munmap(map_, map_size_);
     if (fd_ >= 0) ::close(fd_);
   }
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               std::string* scratch) const override {
-    if (offset > size_) {
+    if (offset <= map_size_ && n <= map_size_ - offset) {
+      *result = Slice(static_cast<const char*>(map_) + offset, n);
+      return Status::OK();
+    }
+    // Past the mapping, or no mapping: pread, which also sees bytes
+    // appended since open (the value log reads its active segment this
+    // way). Racing readers may store an older size: files only grow, so
+    // that costs a later fstat, never a short read.
+    uint64_t size = size_.load(std::memory_order_relaxed);
+    struct stat st{};
+    if ((offset > size || n > size - offset) && ::fstat(fd_, &st) == 0) {
+      size = static_cast<uint64_t>(st.st_size);
+      size_.store(size, std::memory_order_relaxed);
+    }
+    if (offset > size) {
       *result = Slice();
       return Status::OK();
     }
-    const size_t avail = static_cast<size_t>(size_ - offset);
+    const size_t avail = static_cast<size_t>(size - offset);
     const size_t want = n < avail ? n : avail;
-    if (map_ != nullptr) {
-      *result = Slice(static_cast<const char*>(map_) + offset, want);
-      return Status::OK();
-    }
     scratch->resize(want);
     size_t done = 0;
     while (done < want) {
@@ -136,12 +147,15 @@ class PosixRandomAccessFile final : public RandomAccessFile {
     return Status::OK();
   }
 
-  uint64_t Size() const override { return size_; }
+  /// The largest size a read has seen: the size at open, until a read past
+  /// it finds the file grown.
+  uint64_t Size() const override { return size_.load(std::memory_order_relaxed); }
 
  private:
-  int fd_;         // unguarded: immutable after open
-  uint64_t size_;  // unguarded: immutable after open
-  void* map_;      // unguarded: immutable after open
+  int fd_;             // unguarded: immutable after open
+  uint64_t map_size_;  // unguarded: immutable after open; 0 without a mapping
+  mutable std::atomic<uint64_t> size_;  // unguarded: atomic
+  void* map_;  // unguarded: immutable after open
 };
 
 class PosixSequentialFile final : public SequentialFile {

@@ -454,6 +454,102 @@ TEST_F(ArbiterManagerTest, BarrierSwitchServesPendingVictimRequest) {
   arbiter.Detach(other);
 }
 
+// The store is picked while its only memory is a memtable already queued
+// for flush, so the queued ArbiterFlushCall finds no writer and an empty
+// active memtable. There is nothing to switch: the request is dropped. Left
+// pending, it would force a later write group to flush a memtable holding
+// one put.
+TEST_F(ArbiterManagerTest, RequestOnEmptyMemTableIsDropped) {
+  MemoryArbiterOptions tight;
+  tight.write_budget_bytes = 4 * MiB;
+  tight.flush_watermark = 0.5;
+  tight.min_victim_bytes = 16 * KiB;
+  MemoryArbiter arbiter(tight);
+
+  HoldAppendVfs fs(fs_, ".sst");
+  LsmioOptions options;
+  options.vfs = &fs;
+  options.memory_arbiter = &arbiter;
+  options.background_threads = 1;  // the call queues behind the parked flush
+  std::unique_ptr<Manager> store;
+  ASSERT_TRUE(Manager::Open(options, "/empty", &store).ok());
+
+  ASSERT_TRUE(store->Put("flushing", std::string(64 * KiB, 'f')).ok());
+  fs.HoldNextAppend();
+  ASSERT_TRUE(store->WriteBarrier(BarrierMode::kAsync).ok());
+  fs.WaitUntilHeld();
+
+  const uint64_t other = arbiter.Attach(arbiter.RegisterTenant("/other"), [] {});
+  arbiter.UpdateUsage(other, 3 * MiB, /*wrote=*/true);
+  EXPECT_EQ(arbiter.Residency(store->memory_tenant_id()).arbiter_forced_flushes, 1u);
+  fs.Release();
+  ASSERT_TRUE(store->WriteBarrier(BarrierMode::kSync).ok());
+  arbiter.UpdateUsage(other, 0, /*wrote=*/false);
+  // The flush is done; let the call queued behind it run before writing.
+  // Nothing the store exposes shows that the call has run, so this waits
+  // on time: a put that reached the front first would find its own entry
+  // in the memtable and serve the request, and this test would fail.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const lsm::DbStats before = store->engine_stats();
+  for (const char* key : {"a", "b", "c"}) ASSERT_TRUE(store->Put(key, "v").ok());
+  const lsm::DbStats after = store->engine_stats();
+  EXPECT_EQ(after.arbiter_forced_flushes, before.arbiter_forced_flushes);
+  EXPECT_EQ(after.memtable_flushes, before.memtable_flushes);
+  EXPECT_EQ(after.flush_queue_depth, 0u);
+  store.reset();
+  arbiter.Detach(other);
+}
+
+// The store is picked while a write group is parked in its WAL append and
+// another writer waits behind it. The request is served once, when the
+// parked group finishes, and the next group does not switch again.
+TEST_F(ArbiterManagerTest, VictimRequestWithQueuedWriterSwitchesOnce) {
+  MemoryArbiterOptions tight;
+  tight.write_budget_bytes = 4 * MiB;
+  tight.flush_watermark = 0.5;
+  tight.min_victim_bytes = 16 * KiB;
+  MemoryArbiter arbiter(tight);
+
+  HoldAppendVfs fs(fs_, ".log");
+  LsmioOptions options;
+  options.vfs = &fs;
+  options.memory_arbiter = &arbiter;
+  options.disable_wal = false;
+  std::unique_ptr<Manager> store;
+  ASSERT_TRUE(Manager::Open(options, "/queued", &store).ok());
+  ASSERT_TRUE(store->Put("parked", std::string(64 * KiB, 'p')).ok());
+
+  fs.HoldNextAppend();
+  std::thread leader([&] { EXPECT_TRUE(store->Put("first", "v").ok()); });
+  fs.WaitUntilHeld();
+  std::thread follower([&] { EXPECT_TRUE(store->Put("second", "v").ok()); });
+  // Let the follower queue behind the parked group.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const uint64_t other = arbiter.Attach(arbiter.RegisterTenant("/other"), [] {});
+  arbiter.UpdateUsage(other, 3 * MiB, /*wrote=*/true);
+  EXPECT_EQ(arbiter.Residency(store->memory_tenant_id()).arbiter_forced_flushes, 1u);
+  // Let the store's background call find the writers in flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  arbiter.UpdateUsage(other, 0, /*wrote=*/false);
+  fs.Release();
+  leader.join();
+  follower.join();
+
+  for (int i = 0; i < 10000 && store->engine_stats().memtable_flushes == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const lsm::DbStats stats = store->engine_stats();
+  EXPECT_EQ(stats.arbiter_forced_flushes, 1u);
+  EXPECT_EQ(stats.memtable_flushes, 1u);
+  EXPECT_EQ(stats.flush_queue_depth, 0u);
+  std::string value;
+  EXPECT_TRUE(store->Get("second", &value).ok());
+  store.reset();
+  arbiter.Detach(other);
+}
+
 TEST_F(ArbiterManagerTest, PoolGaugesSurfaceThroughStats) {
   std::unique_ptr<Manager> manager;
   ASSERT_TRUE(Manager::Open(Options(), "/gauges", &manager).ok());

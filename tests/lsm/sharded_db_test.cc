@@ -229,6 +229,76 @@ TEST_F(ShardedDbTest, DestroyRemovesMarkerAndShards) {
   EXPECT_EQ(Get("k"), "NOT_FOUND");
 }
 
+// Forwards to a MemVfs and counts ListDir calls.
+class ListDirCountingVfs final : public vfs::Vfs {
+ public:
+  explicit ListDirCountingVfs(vfs::Vfs& base) : base_(base) {}
+
+  Status NewWritableFile(const std::string& path, const vfs::OpenOptions& opts,
+                         std::unique_ptr<vfs::WritableFile>* file) override {
+    return base_.NewWritableFile(path, opts, file);
+  }
+  Status NewRandomAccessFile(const std::string& path, const vfs::OpenOptions& opts,
+                             std::unique_ptr<vfs::RandomAccessFile>* file) override {
+    return base_.NewRandomAccessFile(path, opts, file);
+  }
+  Status NewSequentialFile(const std::string& path, const vfs::OpenOptions& opts,
+                           std::unique_ptr<vfs::SequentialFile>* file) override {
+    return base_.NewSequentialFile(path, opts, file);
+  }
+  Status OpenFileHandle(const std::string& path, bool create, const vfs::OpenOptions& opts,
+                        std::unique_ptr<vfs::FileHandle>* file) override {
+    return base_.OpenFileHandle(path, create, opts, file);
+  }
+  bool FileExists(const std::string& path) override { return base_.FileExists(path); }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return base_.GetFileSize(path, size);
+  }
+  Status RemoveFile(const std::string& path) override { return base_.RemoveFile(path); }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_.RenameFile(from, to);
+  }
+  Status CreateDir(const std::string& path) override { return base_.CreateDir(path); }
+  Status ListDir(const std::string& path, std::vector<std::string>* out) override {
+    ++list_dir_calls;
+    return base_.ListDir(path, out);
+  }
+
+  int list_dir_calls = 0;
+
+ private:
+  vfs::Vfs& base_;
+};
+
+// Destroy removes the shard directories it finds by listing the store, not
+// every index below the marker's count: a marker inflated to 100,000 shards
+// must not cost 100,000 directory scans.
+TEST_F(ShardedDbTest, DestroyListsShardsInsteadOfTrustingTheMarker) {
+  Open(BaseOptions(2));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(db_->Put({}, "k" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable(/*wait=*/true).ok());
+  db_.reset();
+  ASSERT_TRUE(vfs::WriteStringToFile(fs_, ShardsMarkerFileName("/db"),
+                                     "lsmio-shards-v1 100000\n")
+                  .ok());
+
+  ListDirCountingVfs counting(fs_);
+  Options options = BaseOptions(2);
+  options.vfs = &counting;
+  ASSERT_TRUE(DB::Destroy(options, "/db").ok());
+  EXPECT_LE(counting.list_dir_calls, 5);
+  EXPECT_FALSE(fs_.FileExists(ShardsMarkerFileName("/db")));
+  for (const char* dir : {"/db", "/db/shard-000", "/db/shard-001"}) {
+    std::vector<std::string> children;
+    ASSERT_TRUE(fs_.ListDir(dir, &children).ok()) << dir;
+    for (const std::string& child : children) {
+      EXPECT_EQ(child.rfind("shard-", 0), 0u) << dir << "/" << child;
+    }
+  }
+}
+
 TEST_F(ShardedDbTest, SnapshotSequenceReadsAreRejected) {
   Open(BaseOptions(4));
   ASSERT_TRUE(db_->Put({}, "k", "v").ok());

@@ -4,7 +4,10 @@
 // snapshot/iterator pinning of drained segments).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -99,6 +102,34 @@ TEST(ValuePointerCodec, RoundTripsAndRejectsTrailingBytes) {
   encoded.push_back('\0');  // trailing byte: not exactly one pointer
   EXPECT_FALSE(DecodeValuePointer(Slice(encoded), &out));
   EXPECT_FALSE(DecodeValuePointer(Slice("\x01", 1), &out));
+}
+
+// Records appended to the active segment after a read opened its handle
+// must resolve on a real file system, with pread and with mmap (whose
+// mapping ends where the file ended at open).
+TEST(ValueLogPosixTest, ReadsRecordsAppendedAfterTheHandleOpened) {
+  for (const bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap" : "pread");
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("lsmio_value_log_posix_" + std::to_string(::getpid()) + "_" + std::to_string(use_mmap));
+    std::filesystem::remove_all(dir);
+    Options options;
+    options.value_log_threshold = 64;
+    options.use_mmap = use_mmap;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, dir.string(), &db).ok());
+    for (int i = 0; i < 8; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      ASSERT_TRUE(db->Put({}, key, Value(static_cast<char>('a' + i), 200)).ok());
+      std::string value;
+      const Status s = db->Get({}, key, &value);
+      ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+      EXPECT_EQ(value, Value(static_cast<char>('a' + i), 200));
+    }
+    db.reset();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(ValueLogDbTest, ValuesBelowThresholdStayInline) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "lsm/db.h"
 #include "lsm/log_writer.h"
 #include "lsm/memtable.h"
+#include "lsm/sharded_db.h"
 #include "lsm/value_log.h"
 #include "vfs/mem_vfs.h"
 
@@ -236,13 +239,28 @@ Encoded RandomBatch(Rng& rng) {
   return out;
 }
 
+// Flips one to three bytes of a non-empty `bytes`.
+void FlipBytes(std::string* bytes, Rng& rng) {
+  for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+    (*bytes)[rng.Uniform(bytes->size())] ^= static_cast<char>(1 + rng.Uniform(255));
+  }
+}
+
+// Flipped bytes or a truncation of a non-empty `bytes`.
+std::string FlipOrTruncate(std::string bytes, Rng& rng) {
+  if (rng.Bernoulli(0.5)) {
+    bytes.resize(rng.Uniform(bytes.size()));
+  } else {
+    FlipBytes(&bytes, rng);
+  }
+  return bytes;
+}
+
 std::string Mutate(const Encoded& valid, Rng& rng) {
   std::string rep = valid.rep;
   switch (rng.Uniform(4)) {
     case 0:  // byte flips
-      for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
-        rep[rng.Uniform(rep.size())] ^= static_cast<char>(1 + rng.Uniform(255));
-      }
+      FlipBytes(&rep, rng);
       break;
     case 1:  // truncation
       rep.resize(rng.Uniform(rep.size()));
@@ -323,6 +341,202 @@ TEST(WriteBatchMutationTest, MutatedBatchesDecodeToOkOrCorruption) {
   }
   // The mutations must reach the error paths, not only re-encode valid
   // batches.
+  EXPECT_GT(corrupt, kCases / 2);
+}
+
+// --- the SHARDS marker ---------------------------------------------------------
+
+std::string MutateMarker(const std::string& valid, Rng& rng) {
+  if (rng.Bernoulli(0.5)) return FlipOrTruncate(valid, rng);
+  const char* counts[] = {"3", "100000", "2147483647", "0", "-2", "2147483648",
+                          "99999999999999999999"};
+  return "lsmio-shards-v1 " + std::string(counts[rng.Uniform(std::size(counts))]) + "\n";
+}
+
+// A mutated marker opens as the store it names or fails with Corruption or
+// InvalidArgument, and Destroy removes the store by listing it, whatever
+// count the marker claims.
+TEST(WriteBatchMutationTest, MutatedShardsMarkersOpenOrFailAndDestroy) {
+  Rng rng(2901);
+  constexpr int kCases = 100;
+  int rejected = 0;
+  for (int i = 0; i < kCases; ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    vfs::MemVfs fs;
+    Options options;
+    options.vfs = &fs;
+    options.num_shards = 2;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    ASSERT_TRUE(db->Put({}, "k", "v").ok());
+    db.reset();
+    std::string marker;
+    ASSERT_TRUE(vfs::ReadFileToString(fs, ShardsMarkerFileName("/db"), &marker).ok());
+    ASSERT_TRUE(
+        vfs::WriteStringToFile(fs, ShardsMarkerFileName("/db"), MutateMarker(marker, rng)).ok());
+
+    for (const int shards : {1, 2}) {
+      options.num_shards = shards;
+      const Status open = DB::Open(options, "/db", &db);
+      ASSERT_TRUE(open.ok() || open.IsCorruption() || open.IsInvalidArgument())
+          << open.ToString();
+      if (open.ok()) {
+        std::string value;
+        ASSERT_TRUE(db->Get({}, "k", &value).ok());
+        EXPECT_EQ(value, "v");
+        db.reset();
+      } else {
+        ++rejected;
+      }
+    }
+    ASSERT_TRUE(DB::Destroy(options, "/db").ok());
+    std::vector<std::string> left;
+    ASSERT_TRUE(fs.ListDir("/db", &left).ok());
+    EXPECT_TRUE(left.empty()) << left.front();
+  }
+  EXPECT_GT(rejected, kCases);
+}
+
+// --- value pointers and blob records --------------------------------------------
+
+// Reads every key of `want` through Get, MultiGet and an iterator. Each
+// read gives the key's value or a status for which `other` holds.
+void ExpectValueOr(DB& db, const std::map<std::string, std::string>& want,
+                   bool (Status::*other)() const) {
+  std::vector<Slice> keys;
+  for (const auto& [key, value] : want) {
+    std::string got;
+    const Status s = db.Get({}, key, &got);
+    if (s.ok()) {
+      EXPECT_EQ(got, value) << key;
+    } else {
+      EXPECT_TRUE((s.*other)()) << key << ": " << s.ToString();
+    }
+    keys.emplace_back(key);
+  }
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  const Status batch = db.MultiGet({}, keys, &values, &statuses);
+  EXPECT_TRUE(batch.ok()) << batch.ToString();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (statuses[i].ok()) {
+      EXPECT_EQ(values[i], want.at(keys[i].ToString())) << keys[i].ToString();
+    } else {
+      EXPECT_TRUE((statuses[i].*other)()) << keys[i].ToString() << ": " << statuses[i].ToString();
+    }
+  }
+  std::unique_ptr<Iterator> it(db.NewIterator({}));
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    const auto found = want.find(it->key().ToString());
+    if (found == want.end()) continue;
+    const Slice value = it->value();
+    if (value != Slice(found->second)) {
+      EXPECT_TRUE(it->status().IsCorruption()) << found->first << ": " << it->status().ToString();
+    }
+  }
+}
+
+// A value unique to `key`, long enough to be separated.
+std::string BlobValue(const std::string& key) { return key + std::string(100, '.') + key; }
+
+// Mutates an encoded pointer: byte flips, a truncation, or one of its three
+// fields inflated.
+std::string MutatePointer(const ValuePointer& valid, Rng& rng) {
+  std::string encoded;
+  EncodeValuePointer(&encoded, valid);
+  if (rng.Bernoulli(0.5)) return FlipOrTruncate(encoded, rng);
+  ValuePointer ptr = valid;
+  uint64_t* fields[] = {&ptr.segment, &ptr.offset, &ptr.length};
+  uint64_t* field = fields[rng.Uniform(3)];
+  *field = rng.Bernoulli(0.5) ? *field + 1 + rng.Uniform(64) : UINT64_MAX - rng.Uniform(2);
+  encoded.clear();
+  EncodeValuePointer(&encoded, ptr);
+  return encoded;
+}
+
+// Blob records are appended straight to a segment, and each key's only
+// version is a mutated pointer to its record: every read gives the key's
+// value or Corruption, and WAL replay drops each pointer that does not
+// resolve.
+TEST(WriteBatchMutationTest, MutatedValuePointersReadOwnValueOrCorruption) {
+  Rng rng(2902);
+  constexpr int kCases = 300;
+  vfs::MemVfs fs;
+  Options options;
+  options.vfs = &fs;
+  options.value_log_threshold = 64;
+  std::map<std::string, std::string> want;
+  std::vector<ValuePointer> pointers;
+  {
+    ValueLog vlog(options, "/db", &fs);
+    ASSERT_TRUE(vlog.Open({}).ok());
+    for (int i = 0; i < kCases; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      want[key] = BlobValue(key);
+      ASSERT_TRUE(vlog.Append(key, want[key], /*gc_rewrite=*/false, &pointers.emplace_back()).ok());
+    }
+    ASSERT_TRUE(vlog.Sync().ok());
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (int i = 0; i < kCases; ++i) {
+    WriteBatch batch;
+    batch.PutPointer("key" + std::to_string(i), MutatePointer(pointers[i], rng));
+    ASSERT_TRUE(db->Write({}, &batch).ok());
+  }
+  ExpectValueOr(*db, want, &Status::IsCorruption);
+
+  db.reset();
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ExpectValueOr(*db, want, &Status::IsNotFound);
+}
+
+// Bytes of a flushed store's blob segment are flipped or truncated: every
+// read gives the key's value or Corruption. Keys still in the WAL replay:
+// a pointer whose record no longer reads back is dropped.
+TEST(WriteBatchMutationTest, MutatedBlobRecordsReadOwnValueOrCorruption) {
+  Rng rng(2903);
+  constexpr int kCases = 100;
+  int corrupt = 0;
+  for (int i = 0; i < kCases; ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    vfs::MemVfs fs;
+    Options options;
+    options.vfs = &fs;
+    options.value_log_threshold = 64;
+    std::map<std::string, std::string> flushed;
+    std::map<std::string, std::string> logged;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    for (int k = 0; k < 8; ++k) {
+      auto& group = k < 4 ? flushed : logged;
+      const std::string key = "key" + std::to_string(k);
+      group[key] = BlobValue(key);
+      ASSERT_TRUE(db->Put({}, key, group[key]).ok());
+      if (k == 3) ASSERT_TRUE(db->FlushMemTable(/*wait=*/true).ok());
+    }
+    db.reset();
+
+    std::vector<std::string> children;
+    ASSERT_TRUE(fs.ListDir("/db", &children).ok());
+    for (const std::string& child : children) {
+      uint64_t number = 0;
+      FileType type = FileType::kUnknown;
+      if (!ParseFileName(child, &number, &type) || type != FileType::kBlobFile) continue;
+      std::string segment;
+      ASSERT_TRUE(vfs::ReadFileToString(fs, "/db/" + child, &segment).ok());
+      ASSERT_TRUE(vfs::WriteStringToFile(fs, "/db/" + child, FlipOrTruncate(segment, rng)).ok());
+    }
+
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    ExpectValueOr(*db, flushed, &Status::IsCorruption);
+    ExpectValueOr(*db, logged, &Status::IsNotFound);
+    std::string value;
+    for (const auto& [key, unused] : flushed) {
+      if (db->Get({}, key, &value).IsCorruption()) ++corrupt;
+    }
+  }
+  // The mutations must reach the error paths.
   EXPECT_GT(corrupt, kCases / 2);
 }
 

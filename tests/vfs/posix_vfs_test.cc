@@ -62,6 +62,32 @@ TEST_F(PosixVfsTest, RandomAccessWithAndWithoutMmap) {
   }
 }
 
+// A handle reads bytes appended after it opened, with or without a
+// mapping: a read past the mapping falls back to pread.
+TEST_F(PosixVfsTest, RandomAccessReadsBytesAppendedAfterOpen) {
+  Vfs& fs = PosixVfs();
+  for (const bool mmap : {false, true}) {
+    const std::string path = Path(mmap ? "mapped" : "pread");
+    std::unique_ptr<WritableFile> out;
+    ASSERT_TRUE(fs.NewWritableFile(path, {}, &out).ok());
+    ASSERT_TRUE(out->Append("head").ok());
+    OpenOptions opts;
+    opts.use_mmap = mmap;
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_TRUE(fs.NewRandomAccessFile(path, opts, &file).ok());
+    ASSERT_TRUE(out->Append("tail").ok());
+    ASSERT_TRUE(out->Close().ok());
+
+    std::string scratch;
+    Slice result;
+    ASSERT_TRUE(file->Read(0, 2, &result, &scratch).ok());
+    EXPECT_EQ(result.ToString(), "he") << "mmap=" << mmap;
+    ASSERT_TRUE(file->Read(2, 100, &result, &scratch).ok());
+    EXPECT_EQ(result.ToString(), "adtail") << "mmap=" << mmap;
+    EXPECT_EQ(file->Size(), 8u) << "mmap=" << mmap;
+  }
+}
+
 TEST_F(PosixVfsTest, FileHandleStridedWrites) {
   Vfs& fs = PosixVfs();
   std::unique_ptr<FileHandle> handle;
